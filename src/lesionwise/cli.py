@@ -23,14 +23,7 @@ from . import __version__
 from .components import label_components
 from .dataset_stats import corpus_stats
 from .io import VolumeFormatError, read_mask, read_volume, write_volume
-from .losses import (
-    DegeneratePolicy,
-    EmptyGtMode,
-    LossKind,
-    LossWeights,
-    combined_loss,
-    normalize_gradient,
-)
+from .losses import LossKind, LossWeights, combined_loss, normalize_gradient
 from .metrics import aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
 from .volumes import BinaryMask, LogitVolume, ShapeMismatchError, binarize, sigmoid
@@ -230,6 +223,11 @@ def _config_echo(args, command: str) -> dict:
 
 def cmd_loss(args) -> int:
     try:
+        weights = LossWeights(args.w_global, args.w_instance, args.w_dice, args.w_ce)
+    except ValueError as exc:
+        print(f"lesionwise loss: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         gt = read_mask(args.gt)
         logits = read_volume(args.logits)
     except (VolumeFormatError, OSError) as exc:
@@ -239,10 +237,8 @@ def cmd_loss(args) -> int:
         print("lesionwise loss: the logits volume must be float-valued (f32)", file=sys.stderr)
         return EXIT_IO
 
-    weights = LossWeights(args.w_global, args.w_instance, args.w_dice, args.w_ce)
-    policy = DegeneratePolicy(EmptyGtMode(args.empty_gt))
     try:
-        lv = combined_loss(args.loss, logits, gt, weights, policy, metric=args.distance)
+        lv = combined_loss(args.loss, logits, gt, weights, metric=args.distance)
     except ShapeMismatchError as exc:
         print(f"lesionwise loss: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -363,8 +359,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory for reports")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--distance", choices=["voxel", "physical"], default="voxel")
-    p.add_argument("--empty-gt", dest="empty_gt", choices=[m.value for m in EmptyGtMode],
-                   default="global-only")
+    p.add_argument("--empty-gt", dest="empty_gt", choices=["global-only", "zero"],
+                   default="global-only", help="echoed in the report; has no effect")
     p.add_argument("--format", default="json,csv", help="comma list of report formats")
     p.set_defaults(func=cmd_eval)
 
@@ -373,8 +369,6 @@ def build_parser() -> _Parser:
     p.add_argument("--logits", required=True)
     _add_common_loss_flags(p)
     p.add_argument("--distance", choices=["voxel", "physical"], default="voxel")
-    p.add_argument("--empty-gt", dest="empty_gt", choices=[m.value for m in EmptyGtMode],
-                   default="global-only")
     p.add_argument("--grad-out", dest="grad_out", default=None,
                    help="write the per-voxel gradient volume here")
     p.add_argument("--normalized", action="store_true",

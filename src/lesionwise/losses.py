@@ -1,23 +1,28 @@
 """Differentiable global and instance-aware segmentation losses.
 
 Every loss maps (logits, ground truth) to a scalar plus the exact analytic
-gradient with respect to the logits. The soft Dice term is the non-smooth
-variant (no additive smoothing constant): over a voxel set S,
+gradient with respect to the logits. All three losses are sums of one DiceCE
+term, taken over different voxel sets S. The soft Dice part is the
+non-smooth variant (no additive smoothing constant),
 
     dice_loss = 1 - 2 * sum_S(p * g) / (sum_S(p) + sum_S(g)),   p = sigmoid(l)
 
 and cross-entropy is the mean over S of the stable logit form
 ``softplus(l) - g * l`` with gradient ``(p - g) / |S|``.
 
-The instance-aware losses average a DiceCE term over the ground-truth
-components, weighting every component equally:
+* ``dicece_loss`` has one term, S = the whole lattice.
+* ``cc_instance_loss`` averages one term per ground-truth component C, with
+  S = C's Voronoi region, so each false positive affects exactly one term.
+* ``blob_instance_loss`` averages one term per component C over the whole
+  lattice with probabilities zeroed on the *other* components' voxels, so S
+  is C plus the background, which every term shares, and the CE mean still
+  counts the masked voxels. Each false positive affects every term.
 
-* ``cc_instance_loss`` scores component C against the prediction restricted
-  to C's Voronoi region, so each false positive affects exactly one
-  component's term.
-* ``blob_instance_loss`` scores component C against the prediction with
-  probabilities zeroed on the *other* components' voxels (false positives
-  everywhere remain), so each false positive affects every component's term.
+Internally one pass over the lattice computes the sigmoid, its derivative
+and the voxel CE once per call, and one reduction turns a voxel -> group
+index into per-term Dice and CE values and per-group gradient coefficients.
+``combined_loss`` builds the pass once and hands it to the global and the
+instance loss.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -26,6 +31,7 @@ bound this changes probabilities by less than 1e-17 and keeps exp() finite.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,25 +49,6 @@ class LossKind(str, enum.Enum):
     BLOB_DICECE = "blob-dicece"
 
 
-class EmptyGtMode(str, enum.Enum):
-    """What the combined loss does when the ground truth has no components."""
-
-    GLOBAL_ONLY = "global-only"  # instance term is skipped entirely
-    ZERO = "zero"  # instance term contributes 0 with zero gradient
-
-
-@dataclass(frozen=True)
-class DegeneratePolicy:
-    """Degenerate-case behavior, fixed per run and recorded in reports."""
-
-    empty_gt_loss_mode: EmptyGtMode = EmptyGtMode.GLOBAL_ONLY
-    empty_denominator_dice: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.empty_denominator_dice <= 1.0:
-            raise ValueError("empty_denominator_dice must be in [0, 1]")
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Weights of the global/instance terms and of Dice vs CE inside DiceCE."""
@@ -73,8 +60,8 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.w_global, self.w_instance, self.w_dice, self.w_ce)
-        if any(w < 0 for w in vals):
-            raise ValueError("loss weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0 for w in vals):
+            raise ValueError(f"loss weights must be finite and non-negative, got {vals}")
         if all(w == 0 for w in vals):
             raise ValueError("at least one loss weight must be positive")
 
@@ -94,98 +81,132 @@ class LossValue:
         self.grad.setflags(write=False)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+@dataclass(frozen=True, eq=False)
+class _VoxelPass:
+    """Per-voxel quantities every DiceCE term reads, computed once per call."""
+
+    p: np.ndarray  # sigmoid of the clamped logits
+    dpdl: np.ndarray  # p (1 - p)
+    g: np.ndarray  # float ground truth
+    ce: np.ndarray  # softplus(l) - g l
 
 
-def _prep(logits: LogitVolume, gt: BinaryMask, restrict):
-    """Clamped logits, probabilities, sigmoid derivative and float GT."""
+def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _VoxelPass:
     require_same_grid(logits, gt)
-    if restrict is not None:
-        restrict = np.asarray(restrict, dtype=bool)
-        if restrict.shape != logits.voxels.shape:
-            raise ValueError("restrict mask shape does not match the volume")
     lc = np.clip(logits.voxels, -LOGIT_CLAMP, LOGIT_CLAMP)
     e = np.exp(-np.abs(lc))
-    p = np.where(lc >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    dpdl = p * (1.0 - p)
-    gf = gt.voxels.astype(np.float64)
-    return lc, p, dpdl, gf, restrict
+    q = 1.0 + e
+    p = np.where(lc >= 0, 1.0 / q, e / q)
+    # g takes the logits' memory layout, not the mask's (raw files read
+    # x-fastest): elementwise ops on mixed layouts run several times slower.
+    g = np.empty_like(lc)
+    np.copyto(g, gt.voxels)
+    # On GT voxels softplus(l) - l = softplus(-l), the CE of a positive.
+    ce = np.maximum(lc, 0.0) + np.log1p(e) - g * lc
+    return _VoxelPass(p=p, dpdl=p * (1.0 - p), g=g, ce=ce)
 
 
-def soft_dice_loss(
-    logits: LogitVolume,
-    gt: BinaryMask,
-    restrict: np.ndarray | None = None,
-    empty_value: float = 0.0,
-) -> LossValue:
-    """Non-smooth soft Dice loss over the restricted voxel set.
+def _as_pass(logits: LogitVolume | _VoxelPass, gt: BinaryMask) -> _VoxelPass:
+    return logits if isinstance(logits, _VoxelPass) else _voxel_pass(logits, gt)
 
-    When the denominator is zero (empty set, or empty GT with all-zero
-    probabilities) the loss is ``empty_value`` with zero gradient.
+
+@dataclass(frozen=True, eq=False)
+class _Terms:
+    """Per-term sums of the DiceCE terms over voxel groups, from one reduction."""
+
+    index: np.ndarray | None
+    shared: bool
+    inter: np.ndarray  # sum of p * g
+    denom: np.ndarray  # sum of p + sum of g; > 0 on any voxel set, as p > 0
+    ce_sum: np.ndarray
+    size: np.ndarray  # voxels in the CE mean
+
+    def values(self, w_dice: float, w_ce: float) -> np.ndarray:
+        """``w_dice * dice_k + w_ce * ce_k`` for every term k."""
+        return w_dice * (1.0 - 2.0 * self.inter / self.denom) + w_ce * (self.ce_sum / self.size)
+
+
+def _reduce(vp: _VoxelPass, index: np.ndarray | None = None, n: int = 1,
+            shared: bool = False) -> _Terms:
+    """Sum the DiceCE terms of a voxel pass over voxel groups.
+
+    ``index`` None is one term over the whole lattice. Otherwise ``index``
+    maps each voxel to a group 0..n: group k >= 1 belongs to term k, and
+    group 0 belongs to no term or, when ``shared``, to every term. A shared
+    term spans the whole lattice: the other terms' voxels are masked to
+    p = g = 0 and count in the CE mean only.
     """
-    lc, p, dpdl, gf, S = _prep(logits, gt, restrict)
-    if S is None:
-        inter = float(np.sum(p * gf))
-        denom = float(np.sum(p) + np.sum(gf))
+    per_voxel = (vp.p * vp.g, vp.p, vp.g, vp.ce)
+    if index is None:
+        inter, psum, gsum, ce_sum = (np.array([np.sum(x)]) for x in per_voxel)
+        size = np.array([float(vp.p.size)])
     else:
-        inter = float(np.sum(p[S] * gf[S]))
-        denom = float(np.sum(p[S]) + np.sum(gf[S]))
-
-    grad = np.zeros_like(p)
-    if denom == 0.0:
-        return LossValue(float(empty_value), grad)
-
-    loss = 1.0 - 2.0 * inter / denom
-    # d(loss)/dp = -2 (g * denom - inter) / denom^2 on S, 0 elsewhere
-    dldp = (-2.0 / (denom * denom)) * (gf * denom - inter)
-    if S is None:
-        grad = dldp * dpdl
-    else:
-        grad[S] = (dldp * dpdl)[S]
-    return LossValue(loss, grad)
+        flat = index.ravel()
+        sums = [np.bincount(flat, weights=x.ravel(), minlength=n + 1) for x in per_voxel]
+        if shared:
+            inter, psum, gsum, ce_sum = (s[1:] + s[0] for s in sums)
+            size = np.full(n, float(index.size))
+        else:
+            inter, psum, gsum, ce_sum = (s[1:] for s in sums)
+            size = np.bincount(flat, minlength=n + 1)[1:].astype(np.float64)
+    return _Terms(index, shared, inter, psum + gsum, ce_sum, size)
 
 
-def cross_entropy_loss(
-    logits: LogitVolume,
-    gt: BinaryMask,
-    restrict: np.ndarray | None = None,
-) -> LossValue:
-    """Mean binary cross-entropy over the restricted voxel set (stable form)."""
-    lc, p, dpdl, gf, S = _prep(logits, gt, restrict)
-    ce = _softplus(lc) - gf * lc
-    grad = np.zeros_like(p)
-    if S is None:
-        n = ce.size
-        if n == 0:
-            return LossValue(0.0, grad)
-        loss = float(np.sum(ce)) / n
-        grad = (p - gf) / n
-    else:
-        n = int(np.count_nonzero(S))
-        if n == 0:
-            return LossValue(0.0, grad)
-        loss = float(np.sum(ce[S])) / n
-        grad[S] = ((p - gf) / n)[S]
-    return LossValue(loss, grad)
+def _grad(vp: _VoxelPass, t: _Terms, w_dice: float, w_ce: float,
+          term_weights: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum_k term_weights[k] * (w_dice * dice_k + w_ce * ce_k)``.
+
+    On the voxels of term k, d dice_k/dp = -2 (g denom_k - inter_k) / denom_k^2,
+    split as g * a_k + b_k so that a shared group can sum its terms' b_k, and
+    d ce_k/dl = (p - g) / size_k.
+    """
+    wd = w_dice * term_weights
+    a = -2.0 * wd / t.denom
+    b = 2.0 * wd * t.inter / (t.denom * t.denom)
+    c = w_ce * term_weights / t.size
+
+    def per_voxel(x):
+        if t.index is None:
+            return float(x[0])
+        # Group 0 carries the sum of every term's coefficients when shared.
+        return np.concatenate(([x.sum() if t.shared else 0.0], x))[t.index]
+
+    # (g a + b) p' + (p - g) c, in place: one lattice-sized temporary at a time
+    grad = vp.g * per_voxel(a)
+    grad += per_voxel(b)
+    grad *= vp.dpdl
+    grad += (vp.p - vp.g) * per_voxel(c)
+    return grad
 
 
 def dicece_loss(
-    logits: LogitVolume,
+    logits: LogitVolume | _VoxelPass,
     gt: BinaryMask,
-    restrict: np.ndarray | None = None,
     w_dice: float = 1.0,
     w_ce: float = 1.0,
-    empty_dice_value: float = 0.0,
 ) -> LossValue:
-    """Weighted sum of soft Dice and cross-entropy over one voxel set."""
-    d = soft_dice_loss(logits, gt, restrict, empty_value=empty_dice_value)
-    c = cross_entropy_loss(logits, gt, restrict)
-    return LossValue(w_dice * d.scalar + w_ce * c.scalar, w_dice * d.grad + w_ce * c.grad)
+    """Weighted sum of soft Dice and cross-entropy over the whole lattice.
+
+    A 0-voxel lattice has no Dice denominator; both parts read 0 there.
+    """
+    vp = _as_pass(logits, gt)
+    if vp.p.size == 0:
+        return LossValue(0.0, np.zeros_like(vp.p))
+    t = _reduce(vp)
+    return LossValue(float(t.values(w_dice, w_ce)[0]), _grad(vp, t, w_dice, w_ce, np.ones(1)))
 
 
-def _check_instance_inputs(logits, gt, lab):
-    require_same_grid(logits, gt)
+def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
+    """Non-smooth soft Dice loss over the whole lattice."""
+    return dicece_loss(logits, gt, w_dice=1.0, w_ce=0.0)
+
+
+def cross_entropy_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
+    """Mean binary cross-entropy over the whole lattice (stable form)."""
+    return dicece_loss(logits, gt, w_dice=0.0, w_ce=1.0)
+
+
+def _check_instance_inputs(gt, lab):
     if lab.labels.shape != gt.voxels.shape:
         raise ValueError("component labeling shape does not match the volume")
     if lab.count < 1:
@@ -194,34 +215,38 @@ def _check_instance_inputs(logits, gt, lab):
         )
 
 
-def _cc_per_component(logits, gt, lab, part):
-    """Per-component DiceCE constants for the Voronoi-restricted loss.
-
-    Returns (p, dpdl, region index grid, inter, denom, sizes, dice, ce) where
-    the per-component vectors are indexed 0..count-1.
-    """
-    _check_instance_inputs(logits, gt, lab)
+def _cc_terms(logits, gt, lab, part):
+    _check_instance_inputs(gt, lab)
     if part.region_of.shape != gt.voxels.shape or part.count != lab.count:
         raise ValueError("Voronoi partition does not match the labeling")
-    lc, p, dpdl, gf, _ = _prep(logits, gt, None)
+    vp = _as_pass(logits, gt)
+    return vp, _reduce(vp, part.region_of, lab.count)
 
-    region = part.region_of
-    rflat = region.ravel()
-    n = lab.count
-    inter = np.bincount(rflat, weights=(p * gf).ravel(), minlength=n + 1)[1:]
-    psum = np.bincount(rflat, weights=p.ravel(), minlength=n + 1)[1:]
-    gsum = lab.volumes_vox.astype(np.float64)  # gt inside R_C is exactly C
-    sizes = np.bincount(rflat, minlength=n + 1)[1:].astype(np.float64)
 
-    denom = psum + gsum  # >= 1: every region contains its component
-    dice = 1.0 - 2.0 * inter / denom
-    ce_vox = _softplus(lc) - gf * lc
-    ce = np.bincount(rflat, weights=ce_vox.ravel(), minlength=n + 1)[1:] / sizes
-    return p, dpdl, gf, region, inter, denom, sizes, dice, ce
+def _blob_terms(logits, gt, lab):
+    _check_instance_inputs(gt, lab)
+    vp = _as_pass(logits, gt)
+    return vp, _reduce(vp, lab.labels, lab.count, shared=True)
+
+
+def _mean_of_terms(vp, t, w_dice, w_ce) -> LossValue:
+    n = t.inter.size
+    scalar = float(np.sum(t.values(w_dice, w_ce))) / n
+    return LossValue(scalar, _grad(vp, t, w_dice, w_ce, np.full(n, 1.0 / n)))
+
+
+def _each_term(vp, t, w_dice, w_ce) -> list[LossValue]:
+    values = t.values(w_dice, w_ce)
+    terms = []
+    for k in range(values.size):
+        only_k = np.zeros(values.size)
+        only_k[k] = 1.0
+        terms.append(LossValue(float(values[k]), _grad(vp, t, w_dice, w_ce, only_k)))
+    return terms
 
 
 def cc_instance_loss(
-    logits: LogitVolume,
+    logits: LogitVolume | _VoxelPass,
     gt: BinaryMask,
     lab: ComponentLabeling,
     part: VoronoiPartition,
@@ -234,16 +259,7 @@ def cc_instance_loss(
     Regions are disjoint, so each voxel receives exactly one component's
     gradient scaled by 1/count.
     """
-    p, dpdl, gf, region, inter, denom, sizes, dice, ce = _cc_per_component(
-        logits, gt, lab, part
-    )
-    n = lab.count
-    scalar = float(np.sum(w_dice * dice + w_ce * ce)) / n
-
-    ri = region - 1
-    dldp = (-2.0 / (denom * denom))[ri] * (gf * denom[ri] - inter[ri])
-    grad = (w_dice * dldp * dpdl + w_ce * (p - gf) / sizes[ri]) / n
-    return LossValue(scalar, grad)
+    return _mean_of_terms(*_cc_terms(logits, gt, lab, part), w_dice, w_ce)
 
 
 def cc_instance_terms(
@@ -255,45 +271,11 @@ def cc_instance_terms(
     w_ce: float = 1.0,
 ) -> list[LossValue]:
     """Unweighted per-component terms of ``cc_instance_loss`` (no 1/count)."""
-    p, dpdl, gf, region, inter, denom, sizes, dice, ce = _cc_per_component(
-        logits, gt, lab, part
-    )
-    terms = []
-    for c in range(lab.count):
-        in_region = region == c + 1
-        dldp = (-2.0 / (denom[c] * denom[c])) * (gf * denom[c] - inter[c])
-        grad = np.where(in_region, w_dice * dldp * dpdl + w_ce * (p - gf) / sizes[c], 0.0)
-        terms.append(LossValue(float(w_dice * dice[c] + w_ce * ce[c]), grad))
-    return terms
-
-
-def _blob_per_component(logits, gt, lab):
-    """Per-component constants for the blob loss (mask-other-components form)."""
-    _check_instance_inputs(logits, gt, lab)
-    lc, p, dpdl, gf, _ = _prep(logits, gt, None)
-
-    labels = lab.labels
-    lflat = labels.ravel()
-    n = lab.count
-    vol = float(labels.size)
-
-    p_by = np.bincount(lflat, weights=p.ravel(), minlength=n + 1)
-    sp_by = np.bincount(lflat, weights=_softplus(lc).ravel(), minlength=n + 1)
-    sn_by = np.bincount(lflat, weights=_softplus(-lc).ravel(), minlength=n + 1)
-    gsum = lab.volumes_vox.astype(np.float64)
-
-    # For component C the masked prediction keeps background and C itself:
-    # intersection = sum_C p, denom = (sum_bg p + sum_C p) + |C|.
-    inter = p_by[1:]
-    denom = p_by[0] + p_by[1:] + gsum
-    dice = 1.0 - 2.0 * inter / denom
-    # Cross-entropy over the full lattice; masked voxels contribute zero.
-    ce = (sp_by[0] + sn_by[1:]) / vol
-    return p, dpdl, labels, vol, inter, denom, dice, ce
+    return _each_term(*_cc_terms(logits, gt, lab, part), w_dice, w_ce)
 
 
 def blob_instance_loss(
-    logits: LogitVolume,
+    logits: LogitVolume | _VoxelPass,
     gt: BinaryMask,
     lab: ComponentLabeling,
     w_dice: float = 1.0,
@@ -306,20 +288,7 @@ def blob_instance_loss(
     Masked voxels contribute zero gradient; a background voxel accumulates
     gradient from every component's term.
     """
-    p, dpdl, labels, vol, inter, denom, dice, ce = _blob_per_component(logits, gt, lab)
-    n = lab.count
-    scalar = float(np.sum(w_dice * dice + w_ce * ce)) / n
-
-    # Foreground voxel of component c: appears (with g=1) only in term c.
-    li = labels - 1  # valid where labels > 0
-    fg = labels > 0
-    dldp_fg = (-2.0 / (denom * denom))[li] * (denom[li] - inter[li])
-    grad_fg = w_dice * dldp_fg * dpdl + w_ce * (p - 1.0) / vol
-    # Background voxel: appears (with g=0) in every term.
-    s_dice = float(np.sum(2.0 * inter / (denom * denom)))
-    grad_bg = w_dice * s_dice * dpdl + w_ce * n * p / vol
-    grad = np.where(fg, grad_fg, grad_bg) / n
-    return LossValue(scalar, grad)
+    return _mean_of_terms(*_blob_terms(logits, gt, lab), w_dice, w_ce)
 
 
 def blob_instance_terms(
@@ -330,15 +299,7 @@ def blob_instance_terms(
     w_ce: float = 1.0,
 ) -> list[LossValue]:
     """Unweighted per-component terms of ``blob_instance_loss`` (no 1/count)."""
-    p, dpdl, labels, vol, inter, denom, dice, ce = _blob_per_component(logits, gt, lab)
-    terms = []
-    for c in range(lab.count):
-        keep = (labels == 0) | (labels == c + 1)
-        g_c = (labels == c + 1).astype(np.float64)
-        dldp = (-2.0 / (denom[c] * denom[c])) * (g_c * denom[c] - inter[c])
-        grad = np.where(keep, w_dice * dldp * dpdl + w_ce * (p - g_c) / vol, 0.0)
-        terms.append(LossValue(float(w_dice * dice[c] + w_ce * ce[c]), grad))
-    return terms
+    return _each_term(*_blob_terms(logits, gt, lab), w_dice, w_ce)
 
 
 def combined_loss(
@@ -346,7 +307,6 @@ def combined_loss(
     logits: LogitVolume,
     gt: BinaryMask,
     weights: LossWeights | None = None,
-    policy: DegeneratePolicy | None = None,
     *,
     metric: str = "voxel",
     lab: ComponentLabeling | None = None,
@@ -355,19 +315,14 @@ def combined_loss(
     """Global DiceCE plus the selected instance term, weighted 1:1 by default.
 
     ``lab`` and ``part`` may be supplied to reuse precomputed structures;
-    they must derive from ``gt``. With no ground-truth components the
-    degenerate policy decides whether the instance term is skipped
-    (``global-only``) or contributes zero (``zero``); either way the value
-    reduces to the global term.
+    they must derive from ``gt``. With no ground-truth components there is
+    no instance term and the value is the global term.
     """
     kind = LossKind(kind)
     weights = weights or LossWeights()
-    policy = policy or DegeneratePolicy()
+    vp = _voxel_pass(logits, gt)
 
-    g = dicece_loss(
-        logits, gt, None, weights.w_dice, weights.w_ce,
-        empty_dice_value=policy.empty_denominator_dice,
-    )
+    g = dicece_loss(vp, gt, weights.w_dice, weights.w_ce)
     scalar = weights.w_global * g.scalar
     grad = weights.w_global * g.grad
     if kind is LossKind.DICECE:
@@ -376,16 +331,14 @@ def combined_loss(
     if lab is None:
         lab = label_components(gt)
     if lab.count == 0:
-        # Both policies reduce to the global term; they differ only in how
-        # the absent instance term is reported.
         return LossValue(scalar, grad)
 
     if kind is LossKind.CC_DICECE:
         if part is None:
             part = voronoi_partition(lab, metric)
-        inst = cc_instance_loss(logits, gt, lab, part, weights.w_dice, weights.w_ce)
+        inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
     else:
-        inst = blob_instance_loss(logits, gt, lab, weights.w_dice, weights.w_ce)
+        inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
     return LossValue(
         scalar + weights.w_instance * inst.scalar,
         grad + weights.w_instance * inst.grad,
@@ -406,10 +359,9 @@ def gradient_map(
     logits: LogitVolume,
     gt: BinaryMask,
     weights: LossWeights | None = None,
-    policy: DegeneratePolicy | None = None,
     *,
     metric: str = "voxel",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-voxel gradient of the combined loss plus a per-panel normalized copy."""
-    lv = combined_loss(kind, logits, gt, weights, policy, metric=metric)
+    lv = combined_loss(kind, logits, gt, weights, metric=metric)
     return lv.grad, normalize_gradient(lv.grad)

@@ -37,19 +37,16 @@ class EmptyGroundTruthError(ValueError):
 class VoronoiPartition:
     """Dense nearest-component assignment over the lattice.
 
-    ``region_of`` holds the winning component ID (1..count) for every voxel;
-    ``distances`` the Euclidean distance to that component. Regions are
-    pairwise disjoint and cover the lattice by construction.
+    ``region_of`` holds the winning component ID (1..count) for every voxel.
+    Regions are pairwise disjoint and cover the lattice by construction.
     """
 
     region_of: np.ndarray
-    distances: np.ndarray
     count: int
     metric: str
 
     def __post_init__(self):
         self.region_of.setflags(write=False)
-        self.distances.setflags(write=False)
 
     def region_sizes(self) -> np.ndarray:
         return np.bincount(self.region_of.ravel(), minlength=self.count + 1)[1:]
@@ -113,7 +110,6 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
 
     return VoronoiPartition(
         region_of=region,
-        distances=np.sqrt(best.astype(np.float64)),
         count=lab.count,
         metric=metric,
     )
@@ -152,7 +148,6 @@ def voronoi_partition_bruteforce(
 
     return VoronoiPartition(
         region_of=region,
-        distances=np.sqrt(best.astype(np.float64)),
         count=lab.count,
         metric=metric,
     )

@@ -1,8 +1,8 @@
 """Independent reference implementations used to verify the fast paths.
 
 Everything here is deliberately naive (BFS flood fill, exhaustive matching
-via bitmask DP, central finite differences) and shares no code with the
-package internals it checks.
+via bitmask DP, central finite differences, DiceCE straight from its
+formula) and shares no code with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -85,6 +85,20 @@ def grad_errors(analytic: np.ndarray, fd: np.ndarray):
     if (~big).any():
         absolute = float(np.max(np.abs(analytic[~big] - fd[~big])))
     return rel, absolute
+
+
+def dicece_over_voxels(logits, gt, voxels) -> float:
+    """Soft Dice (no smoothing) plus mean binary cross-entropy over a voxel set.
+
+    ``logits``, ``gt`` and ``voxels`` are arrays of one shape; ``voxels``
+    selects the set. CE is -log(p) on GT voxels and -log(1 - p) elsewhere.
+    """
+    l = np.asarray(logits, dtype=np.float64)[voxels]
+    g = np.asarray(gt, dtype=bool)[voxels]
+    p = 1.0 / (1.0 + np.exp(-l))
+    dice = 1.0 - 2.0 * p[g].sum() / (p.sum() + g.sum())
+    ce = np.where(g, np.logaddexp(0.0, -l), np.logaddexp(0.0, l)).mean()
+    return float(dice + ce)
 
 
 def max_matching_size(adj: list[list[int]], n_right: int) -> int:

@@ -172,6 +172,24 @@ def test_loss_command_rejects_mask_logits(figure1_files, tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("weights", [
+    ["--w-global", "-1"],
+    ["--w-global", "0", "--w-instance", "0", "--w-dice", "0", "--w-ce", "0"],
+    ["--w-global", "nan"],
+], ids=["negative", "all-zero", "nan"])
+def test_loss_command_bad_weights_is_usage_error(figure1_files, capsys, weights):
+    code = run_cli([
+        "loss",
+        "--gt", str(figure1_files / "gt.raw"),
+        "--logits", str(figure1_files / "pred_partial.raw"),
+    ] + weights)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("lesionwise loss: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_stats_command(tmp_path, capsys):
     sizes = (0, 1, 2)
     for i, n in enumerate(sizes):

@@ -1,13 +1,14 @@
+import importlib.util
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lesionwise import (
     LOGIT_CLAMP,
-    DegeneratePolicy,
     EmptyGroundTruthError,
-    EmptyGtMode,
     LossWeights,
     Shape,
     blob_instance_loss,
@@ -16,7 +17,6 @@ from lesionwise import (
     cc_instance_loss,
     cc_instance_terms,
     combined_loss,
-    component_mask,
     cross_entropy_loss,
     dicece_loss,
     gradient_map,
@@ -25,7 +25,15 @@ from lesionwise import (
     soft_dice_loss,
     voronoi_partition,
 )
-from oracles import UNIT, finite_difference_grad, grad_errors, mk_logits, mk_mask
+from lesionwise import losses
+from oracles import (
+    UNIT,
+    dicece_over_voxels,
+    finite_difference_grad,
+    grad_errors,
+    mk_logits,
+    mk_mask,
+)
 
 SAT = LOGIT_CLAMP
 
@@ -61,14 +69,6 @@ def test_dice_disjoint_is_one():
     assert lv.scalar >= 1 - 1e-9
 
 
-def test_dice_empty_denominator_uses_policy_value():
-    gt = mk_mask(np.zeros((3, 3, 3)))
-    restrict = np.zeros((3, 3, 3), dtype=bool)
-    lv = soft_dice_loss(mk_logits(np.zeros((3, 3, 3))), gt, restrict, empty_value=0.3)
-    assert lv.scalar == 0.3
-    assert np.all(lv.grad == 0)
-
-
 def test_cross_entropy_at_zero_logits_is_log_two():
     gt, _, _ = _random_case(3)
     lv = cross_entropy_loss(mk_logits(np.zeros((6, 6, 6))), gt)
@@ -79,14 +79,6 @@ def test_cross_entropy_single_voxel_gradient():
     gt = mk_mask(np.ones((1, 1, 1)))
     lv = cross_entropy_loss(mk_logits(np.zeros((1, 1, 1))), gt)
     assert lv.grad[0, 0, 0] == -0.5
-
-
-def test_cross_entropy_empty_restrict_is_zero():
-    gt, _, logits = _random_case(4)
-    restrict = np.zeros((6, 6, 6), dtype=bool)
-    lv = cross_entropy_loss(logits, gt, restrict)
-    assert lv.scalar == 0.0
-    assert np.all(lv.grad == 0)
 
 
 def test_dicece_is_the_weighted_sum():
@@ -127,17 +119,6 @@ def test_cross_entropy_gradient_matches_finite_differences():
     lv = cross_entropy_loss(logits, gt)
     _assert_fd(
         lambda a: cross_entropy_loss(mk_logits(a), gt).scalar, lv.grad, logits.voxels
-    )
-
-
-def test_restricted_dicece_gradient_matches_finite_differences():
-    gt, _, logits = _random_case(12)
-    rng = np.random.default_rng(99)
-    restrict = rng.random((6, 6, 6)) < 0.5
-    lv = dicece_loss(logits, gt, restrict)
-    assert np.all(lv.grad[~restrict] == 0.0)
-    _assert_fd(
-        lambda a: dicece_loss(mk_logits(a), gt, restrict).scalar, lv.grad, logits.voxels
     )
 
 
@@ -221,9 +202,10 @@ def test_components_are_weighted_equally_regardless_of_volume():
     part = voronoi_partition(lab)
     terms = cc_instance_terms(logits, gt, lab, part)
     for cid in range(1, lab.count + 1):
-        region = part.region_of == cid
-        isolated = dicece_loss(logits, component_mask(lab, cid), region)
-        assert math.isclose(terms[cid - 1].scalar, isolated.scalar, rel_tol=1e-12)
+        isolated = dicece_over_voxels(
+            logits.voxels, lab.labels == cid, part.region_of == cid
+        )
+        assert math.isclose(terms[cid - 1].scalar, isolated, rel_tol=1e-12)
     total = cc_instance_loss(logits, gt, lab, part)
     assert math.isclose(
         total.scalar, sum(t.scalar for t in terms) / lab.count, rel_tol=1e-12
@@ -248,7 +230,6 @@ def _permuted(lab, part, perm):
     )
     part2 = VoronoiPartition(
         region_of=remap[part.region_of],
-        distances=part.distances.copy(),
         count=part.count,
         metric=part.metric,
     )
@@ -321,10 +302,8 @@ def test_combined_with_empty_gt_reduces_to_global_term():
     rng = np.random.default_rng(8)
     logits = mk_logits(rng.normal(0, 1, (5, 5, 5)))
     ref = dicece_loss(logits, gt)
-    for mode in EmptyGtMode:
-        lv = combined_loss(
-            "cc-dicece", logits, gt, policy=DegeneratePolicy(empty_gt_loss_mode=mode)
-        )
+    for kind in ("cc-dicece", "blob-dicece"):
+        lv = combined_loss(kind, logits, gt)
         assert math.isclose(lv.scalar, ref.scalar, rel_tol=1e-12)
         np.testing.assert_allclose(lv.grad, ref.grad, rtol=1e-12)
 
@@ -385,5 +364,95 @@ def test_weight_and_policy_validation():
         LossWeights(0, 0, 0, 0)
     with pytest.raises(ValueError):
         LossWeights(-1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        DegeneratePolicy(empty_denominator_dice=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            LossWeights(bad, 1, 1, 1)
+        with pytest.raises(ValueError):
+            LossWeights(1, 1, 1, bad)
+
+
+# ---------------------------------------------------------------------------
+# one voxel pass per call, through the benchmark's traced attributes
+# ---------------------------------------------------------------------------
+
+KINDS = ("dicece", "cc-dicece", "blob-dicece")
+INSTANCE_FN = {
+    "dicece": None,
+    "cc-dicece": "cc_instance_loss",
+    "blob-dicece": "blob_instance_loss",
+}
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_combined_loss_makes_one_voxel_pass(monkeypatch):
+    gt, lab, logits = _random_case(60, n_components=3)
+    part = voronoi_partition(lab)
+    calls = Counter()
+    _count_calls(monkeypatch, losses, "_voxel_pass", calls)
+    for kind in KINDS:
+        for given in ({}, {"lab": lab, "part": part}):
+            calls.clear()
+            combined_loss(kind, logits, gt, **given)
+            assert calls["_voxel_pass"] == 1, (kind, sorted(given))
+
+
+def _benchmark_tracer():
+    path = Path(__file__).resolve().parents[1] / "lwbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("lwbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_layer_calls_see_each_loss_once(monkeypatch):
+    # the traced benchmark run times the losses by wrapping these attributes
+    for module, attr, _, _ in _benchmark_tracer().LAYER_CALLS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    gt, lab, logits = _random_case(61, n_components=2)
+    part = voronoi_partition(lab)
+    calls = Counter()
+    for name in ("dicece_loss", "cc_instance_loss", "blob_instance_loss"):
+        _count_calls(monkeypatch, losses, name, calls)
+    for kind in KINDS:
+        calls.clear()
+        combined_loss(kind, logits, gt, lab=lab, part=part)
+        want = Counter({"dicece_loss": 1})
+        if INSTANCE_FN[kind]:
+            want[INSTANCE_FN[kind]] = 1
+        assert calls == want, kind
+
+
+EDGE_LATTICES = {
+    "one-voxel": np.ones((1, 1, 1), dtype=bool),
+    "all-foreground": np.ones((3, 2, 2), dtype=bool),
+    "empty-gt": np.zeros((3, 2, 2), dtype=bool),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LATTICES))
+def test_combined_gradients_on_edge_lattices(name):
+    gt = mk_mask(EDGE_LATTICES[name])
+    logits = np.random.default_rng(62).normal(0.0, 2.0, size=gt.voxels.shape)
+    for kind in KINDS:
+        lv = combined_loss(kind, mk_logits(logits), gt)
+        _assert_fd(
+            lambda a: combined_loss(kind, mk_logits(a), gt).scalar, lv.grad, logits
+        )
+
+
+def test_zero_voxel_lattice_reads_zero():
+    gt = mk_mask(np.zeros((0, 3, 3)))
+    for kind in KINDS:
+        lv = combined_loss(kind, mk_logits(np.zeros((0, 3, 3))), gt)
+        assert lv.scalar == 0.0
+        assert lv.grad.shape == (0, 3, 3)

@@ -93,7 +93,10 @@ def read_volume(path):
 
 
 def read_mask(path) -> BinaryMask:
-    """Read any supported volume as a mask: any nonzero value is foreground."""
+    """Read any supported volume as a mask: any nonzero value is foreground.
+
+    A float volume holding NaN or Inf raises ``VolumeFormatError``.
+    """
     path = Path(path)
     if _is_nifti_path(path):
         return _read_nifti(path, as_mask=True)
@@ -101,11 +104,9 @@ def read_mask(path) -> BinaryMask:
 
 
 def _finish(arr: np.ndarray, spacing: Spacing, as_mask, is_float: bool):
-    if as_mask:
-        return BinaryMask(arr != 0, spacing)
-    if is_float:
-        if not np.isfinite(arr).all():
-            raise VolumeFormatError("float volume contains NaN or Inf values")
+    if is_float and not np.isfinite(arr).all():
+        raise VolumeFormatError("float volume contains NaN or Inf values")
+    if is_float and not as_mask:
         return LogitVolume(arr.astype(np.float64), spacing)
     return BinaryMask(arr != 0, spacing)
 

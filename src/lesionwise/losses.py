@@ -185,13 +185,8 @@ def dicece_loss(
     w_dice: float = 1.0,
     w_ce: float = 1.0,
 ) -> LossValue:
-    """Weighted sum of soft Dice and cross-entropy over the whole lattice.
-
-    A 0-voxel lattice has no Dice denominator; both parts read 0 there.
-    """
+    """Weighted sum of soft Dice and cross-entropy over the whole lattice."""
     vp = _as_pass(logits, gt)
-    if vp.p.size == 0:
-        return LossValue(0.0, np.zeros_like(vp.p))
     t = _reduce(vp)
     return LossValue(float(t.values(w_dice, w_ce)[0]), _grad(vp, t, w_dice, w_ce, np.ones(1)))
 

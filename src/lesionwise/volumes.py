@@ -66,6 +66,9 @@ class Spacing:
 def _freeze(voxels: np.ndarray, dtype) -> np.ndarray:
     if voxels.ndim != 3:
         raise ValueError(f"expected a 3D voxel grid, got ndim={voxels.ndim}")
+    for axis, n in zip("xyz", voxels.shape):
+        if n == 0:
+            raise ValueError(f"voxel grid has no voxels along {axis}: shape {voxels.shape}")
     out = np.array(voxels, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -161,8 +164,3 @@ def binarize(probs: ProbVolume, threshold: float = 0.5) -> BinaryMask:
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
     return BinaryMask(probs.voxels >= threshold, probs.spacing)
-
-
-def linear_index(shape: Shape, x, y, z):
-    """Canonical x-fastest linear index of voxel coordinates."""
-    return x + shape.nx * (y + shape.ny * z)

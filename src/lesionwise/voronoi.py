@@ -10,11 +10,44 @@ are supported:
 * ``"physical"``: spacing-scaled Euclidean distance in mm.
 
 Ties are broken toward the lower canonical component ID. The fast path runs
-one exact Euclidean feature transform per component and keeps the strict
-argmin while scanning IDs in ascending order, which realizes the tie policy
-without any floating-point tie heuristics. ``voronoi_partition_bruteforce``
+one exact Euclidean feature transform (EDT) per component and keeps the
+strict argmin while scanning IDs in ascending order, which realizes the tie
+policy without any floating-point tie heuristics. ``voronoi_partition_bruteforce``
 evaluates the defining minimization verbatim (min over every component
 voxel) and serves as the conformance oracle.
+
+Windows
+-------
+Component c's EDT runs only on a window W_c, a box that holds every voxel
+where c wins or ties. On a grid of 2x2x2 voxel blocks b:
+
+* ``LB_c(b)`` is the squared distance from b to the bounding box of C_c,
+  from per-axis integer gaps through the metric's own expression;
+* ``UB(b)`` is the least, over all components c', squared distance from one
+  fixed voxel p_c' of C_c' to the farthest voxel of b;
+* W_c is the bounding box of the blocks with ``LB_c(b) <= UB(b)``.
+
+If c wins or ties at v in b, then ``LB_c(b) <= d2_c(v) = d2_min(v) <= UB(b)``:
+each rounded term of the expression is monotone in its gap, and every
+component c' has ``d2_c'(v) <= |v - p_c'|^2``. So every minimizer of v sees
+v, the others see a larger value or nothing, and the ascending strict merge
+picks the lowest minimizer, as a full-lattice loop does. There is no margin
+and no fallback. On the physical metric ``UB`` carries a 1e-9 relative
+slack, because scipy's float EDT may return a voxel whose rounded distance
+is a few ulps above the exact minimum; slack can only enlarge a window. A
+window contains the whole bounding box of its component, so its EDT solves
+the same one-dimensional problems, over the same sites and with the same
+integer coordinate differences, as a full-lattice transform.
+
+Cost: one EDT over each window, sum of |W_c| voxels in all, plus integer
+block arithmetic of about count * lattice / 8. On the benchmark's
+``eval-lesions`` cases (2-30 lesions on 64^3-88^3) the windows sum to a
+median of 2.4 lattices, where a full-lattice EDT per component costs count
+lattices. A single component owns the lattice and needs no EDT. Peak
+memory, measured with tracemalloc, is at most about 22 bytes per lattice
+voxel on the voxel metric (int32 squared distances, exact for any lattice
+with ``sum((n_i - 1)**2) < 2**31``, int64 above) and about 40 on the
+physical metric (float64 distances and their temporaries).
 """
 
 from __future__ import annotations
@@ -57,11 +90,11 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"metric must be one of {VALID_METRICS}, got {metric!r}")
 
 
-def _grids(shape):
+def _grids(shape, dtype=np.int64):
     nx, ny, nz = shape
-    gx = np.arange(nx, dtype=np.int64).reshape(nx, 1, 1)
-    gy = np.arange(ny, dtype=np.int64).reshape(1, ny, 1)
-    gz = np.arange(nz, dtype=np.int64).reshape(1, 1, nz)
+    gx = np.arange(nx, dtype=dtype).reshape(nx, 1, 1)
+    gy = np.arange(ny, dtype=dtype).reshape(1, ny, 1)
+    gz = np.arange(nz, dtype=dtype).reshape(1, 1, nz)
     return gx, gy, gz
 
 
@@ -73,40 +106,107 @@ def _site_sq_dist(dx, dy, dz, metric: str, spacing):
     return (dx * sx) ** 2 + (dy * sy) ** 2 + (dz * sz) ** 2
 
 
+# Edge, in voxels, of the cubic blocks on which each window is bounded.
+_BLOCK = 2
+# Relative slack on the physical-metric upper bound: scipy's float EDT picks its
+# nearest voxel by float comparisons, so its rounded distance may sit a few ulps
+# above the exact minimum over the component.
+_PHYS_SLACK = 1.0 + 1e-9
+
+
+def _block_sq_dist(gaps, metric: str, spacing):
+    """``_site_sq_dist`` of per-axis 1-D block gaps, broadcast to the block grid."""
+    gx, gy, gz = gaps
+    return _site_sq_dist(
+        gx.reshape(-1, 1, 1), gy.reshape(1, -1, 1), gz.reshape(1, 1, -1), metric, spacing
+    )
+
+
+def _windows(lab: ComponentLabeling, metric: str) -> list[tuple[slice, slice, slice]]:
+    """Per component, a box of voxels holding every voxel where it wins or ties.
+
+    On the grid of ``_BLOCK``-cubed blocks, ``LB_c(b)`` is the squared distance
+    from block b to the bounding box of component c and ``UB(b)`` the least,
+    over all components, squared distance from one fixed voxel of the
+    component to the farthest voxel of b. The window of c is the bounding box
+    of the blocks with ``LB_c(b) <= UB(b)``.
+    """
+    shape = lab.labels.shape
+    lo = [np.arange(0, n, _BLOCK) for n in shape]
+    hi = [np.minimum(b + _BLOCK - 1, n - 1) for b, n in zip(lo, shape)]
+    boxes = ndimage.find_objects(lab.labels)
+
+    ub = None
+    for cid, box in enumerate(boxes, start=1):
+        own = lab.labels[box] == cid
+        site = [s.start + int(i) for s, i in zip(box, np.unravel_index(np.argmax(own), own.shape))]
+        far = [np.maximum(abs(p - l), abs(p - h)) for p, l, h in zip(site, lo, hi)]
+        d2 = _block_sq_dist(far, metric, lab.spacing)
+        ub = d2 if ub is None else np.minimum(ub, d2, out=ub)
+    if metric == "physical":
+        ub *= _PHYS_SLACK
+
+    windows = []
+    for box in boxes:
+        gaps = [
+            np.maximum(np.maximum(s.start - h, l - (s.stop - 1)), 0)
+            for s, l, h in zip(box, lo, hi)
+        ]
+        seen = _block_sq_dist(gaps, metric, lab.spacing) <= ub
+        win = []
+        for axis, n in enumerate(shape):
+            hit = np.flatnonzero(seen.any(axis=tuple(a for a in range(3) if a != axis)))
+            win.append(slice(int(hit[0]) * _BLOCK, min((int(hit[-1]) + 1) * _BLOCK, n)))
+        windows.append(tuple(win))
+    return windows
+
+
 def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiPartition:
     """Partition the lattice into nearest-component regions.
 
-    One exact Euclidean feature transform per component; ascending-ID strict
-    comparison implements the lowest-ID tie policy. O(count * lattice).
+    One exact Euclidean feature transform per component, run only on that
+    component's window (see the module docstring for the bound and its
+    proof); ascending-ID strict comparison against the running best
+    implements the lowest-ID tie policy. A single component needs no EDT.
     """
     _check_metric(metric)
     if lab.count < 1:
         raise EmptyGroundTruthError("cannot build a Voronoi partition: no components")
 
     shape = lab.labels.shape
-    gx, gy, gz = _grids(shape)
-    sampling = lab.spacing.as_tuple() if metric == "physical" else None
+    if lab.count == 1:
+        return VoronoiPartition(region_of=np.ones(shape, dtype=np.int32), count=1, metric=metric)
+
+    if metric == "voxel":
+        dtype = np.int32 if sum((n - 1) ** 2 for n in shape) < 2**31 else np.int64
+        best = np.full(shape, np.iinfo(dtype).max, dtype=dtype)
+        sampling = None
+    else:
+        best = np.full(shape, np.inf)
+        sampling = lab.spacing.as_tuple()
 
     region = np.zeros(shape, dtype=np.int32)
-    best = None
-    for cid in range(1, lab.count + 1):
+    for cid, win in enumerate(_windows(lab, metric), start=1):
         feat = ndimage.distance_transform_edt(
-            lab.labels != cid,
+            lab.labels[win] != cid,
             sampling=sampling,
             return_distances=False,
             return_indices=True,
         )
-        dx = gx - feat[0]
-        dy = gy - feat[1]
-        dz = gz - feat[2]
-        d2 = _site_sq_dist(dx, dy, dz, metric, lab.spacing)
-        if best is None:
-            best = d2
-            region[:] = cid
+        # Feature indices and the grid are both window-relative.
+        for f, g in zip(feat, _grids(feat.shape[1:], np.int32)):
+            f -= g
+        if metric == "voxel":
+            feat = feat.astype(dtype, copy=False)
+            feat *= feat
+            d2 = feat[0]
+            d2 += feat[1]
+            d2 += feat[2]
         else:
-            closer = d2 < best
-            region[closer] = cid
-            np.minimum(best, d2, out=best)
+            d2 = _site_sq_dist(feat[0], feat[1], feat[2], metric, lab.spacing)
+        np.copyto(region[win], cid, where=d2 < best[win])
+        np.minimum(best[win], d2, out=best[win])
+        del feat, d2  # free this window's arrays before the next EDT allocates its own
 
     return VoronoiPartition(
         region_of=region,

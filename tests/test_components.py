@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lesionwise import Spacing, component_mask, label_components
-from lesionwise.volumes import linear_index
 from oracles import flood_fill_label, mk_mask
 
 
@@ -72,7 +71,7 @@ def test_canonical_order_is_min_linear_index():
     lab = label_components(mk_mask(arr))
     firsts = []
     for vox in lab.voxel_lists:
-        lins = [linear_index(lab.shape, *v) for v in vox]
+        lins = [int(np.ravel_multi_index(v, lab.labels.shape, order="F")) for v in vox]
         assert lins == sorted(lins)  # within-component order is canonical too
         firsts.append(lins[0])
     assert firsts == sorted(firsts)

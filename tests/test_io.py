@@ -140,6 +140,29 @@ def test_read_mask_treats_any_nonzero_as_foreground(tmp_path):
     assert mask.foreground_count == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_mask_rejects_non_finite_raw_f32(tmp_path, bad):
+    data = np.zeros(8, dtype="<f4")
+    data[3] = bad
+    path = tmp_path / "nan.raw"
+    path.write_bytes(data.tobytes())
+    path.with_name("nan.raw.json").write_text(json.dumps({
+        "shape": [2, 2, 2], "spacing": [1, 1, 1], "dtype": "f32", "order": "x-fastest"
+    }))
+    with pytest.raises(VolumeFormatError, match="NaN or Inf"):
+        read_mask(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_mask_rejects_non_finite_nifti_f32(tmp_path, bad):
+    data = np.zeros(8, dtype="<f4")
+    data[5] = bad
+    path = tmp_path / "nan.nii"
+    path.write_bytes(_nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0), 16, data.tobytes()))
+    with pytest.raises(VolumeFormatError, match="NaN or Inf"):
+        read_mask(path)
+
+
 def test_nifti_hand_crafted_header(tmp_path):
     # pixdim (0.5, 0.5, 2.0) must surface as the volume spacing
     data = np.zeros((2, 4, 3), dtype=np.uint8)

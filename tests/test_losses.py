@@ -448,11 +448,3 @@ def test_combined_gradients_on_edge_lattices(name):
         _assert_fd(
             lambda a: combined_loss(kind, mk_logits(a), gt).scalar, lv.grad, logits
         )
-
-
-def test_zero_voxel_lattice_reads_zero():
-    gt = mk_mask(np.zeros((0, 3, 3)))
-    for kind in KINDS:
-        lv = combined_loss(kind, mk_logits(np.zeros((0, 3, 3))), gt)
-        assert lv.scalar == 0.0
-        assert lv.grad.shape == (0, 3, 3)

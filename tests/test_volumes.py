@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from lesionwise import (
+    BinaryMask,
     LogitVolume,
     ProbVolume,
     Shape,
@@ -38,6 +39,14 @@ def test_volumes_are_immutable():
     l = mk_logits(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         l.voxels[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape, axis", [((0, 3, 3), "x"), ((3, 0, 3), "y"), ((3, 3, 0), "z")],
+                         ids=["x", "y", "z"])
+def test_zero_voxel_lattice_is_rejected(shape, axis):
+    for cls in (BinaryMask, LogitVolume, ProbVolume):
+        with pytest.raises(ValueError, match=f"no voxels along {axis}"):
+            cls(np.zeros(shape), UNIT)
 
 
 def test_logit_volume_rejects_non_finite():

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionwise import (
     EmptyGroundTruthError,
@@ -11,7 +15,8 @@ from lesionwise import (
     voronoi_partition,
     voronoi_partition_bruteforce,
 )
-from oracles import mk_mask
+from lesionwise.voronoi import _windows
+from oracles import UNIT, mk_mask
 
 # Spacings whose squares are exactly representable keep the physical-metric
 # float arithmetic exact at test scale, so tie comparisons are deterministic.
@@ -56,6 +61,59 @@ def test_fast_equals_bruteforce_on_random_masks(metric):
         fast = voronoi_partition(lab, metric)
         brute = voronoi_partition_bruteforce(lab, metric)
         assert np.array_equal(fast.region_of, brute.region_of)
+
+
+@st.composite
+def tie_heavy_masks(draw):
+    """Single-voxel sites on the even sublattice of a line, a plane or the box.
+
+    Distinct even points are never 26-adjacent, so each site starts as its own
+    component; mirrored copies (x -> n-1-x) make exact ties, touch the far
+    border when the site touches the near one, and may merge with a site at
+    the seam. Axes of 1 or of odd length leave partial 2-blocks.
+    """
+    free = draw(st.sampled_from([(0, 1, 2), (0, 1), (1, 2), (0, 2), (0,), (1,), (2,)]))
+    # free axes long enough for 8 even sites: 15 on a line, 5x5 on a plane, 4^3
+    lo = {1: 15, 2: 5, 3: 4}[len(free)]
+    shape = tuple(
+        draw(st.integers(lo, lo + 6) if a in free else st.integers(1, 6)) for a in range(3)
+    )
+    spacing = draw(st.sampled_from([UNIT, DYADIC, Spacing(2.0, 1.0, 0.5), Spacing(1.0, 0.25, 1.0)]))
+    axes = [
+        range(0, n, 2) if a in free else [2 * draw(st.integers(0, (n - 1) // 2))]
+        for a, n in enumerate(shape)
+    ]
+    points = list(itertools.product(*axes))
+    sites = draw(st.lists(st.sampled_from(points), min_size=8, max_size=16, unique=True))
+    arr = np.zeros(shape, dtype=bool)
+    for p in sites:
+        arr[p] = True
+    for axis in draw(st.sets(st.sampled_from(free))):
+        arr |= np.flip(arr, axis=axis)
+    return mk_mask(arr, spacing)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tie_heavy_masks())
+def test_fast_equals_bruteforce_on_tie_heavy_masks(mask):
+    lab = label_components(mask)
+    gx, gy, gz = np.indices(mask.voxels.shape)
+    for metric in ("voxel", "physical"):
+        sx, sy, sz = mask.spacing.as_tuple() if metric == "physical" else (1, 1, 1)
+        fast = voronoi_partition(lab, metric)
+        brute = voronoi_partition_bruteforce(lab, metric)
+        assert np.array_equal(fast.region_of, brute.region_of)
+
+        d2 = np.stack([
+            np.min([((gx - x) * sx) ** 2 + ((gy - y) * sy) ** 2 + ((gz - z) * sz) ** 2
+                    for x, y, z in np.argwhere(lab.labels == cid)], axis=0)
+            for cid in range(1, lab.count + 1)
+        ])
+        ties = d2 == d2.min(axis=0)
+        for cid, win in enumerate(_windows(lab, metric), start=1):
+            outside = ties[cid - 1].copy()
+            outside[win] = False
+            assert not outside.any(), f"component {cid} wins or ties outside {win}"
 
 
 def test_partition_invariants_hold():

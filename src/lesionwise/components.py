@@ -1,8 +1,29 @@
-"""26-connectivity connected-component labeling and per-component geometry."""
+"""26-connectivity connected-component labeling and per-component geometry.
+
+``label_components`` makes one ``scipy.ndimage.label`` call, on the
+transposed view of the foreground's bounding box. scipy numbers components
+by first encounter in the C-order scan of its input, and the C-order scan of
+the transposed (z, y, x) view is the canonical x-fastest scan of the mask,
+so scipy's IDs are already the canonical ones and no remap is needed. This
+is an observed property of scipy's labeler, not a documented one, so every
+call checks it in O(foreground): read in scan order, the nonzero labels
+start at 1 and their running maximum never rises by more than 1. A scipy
+whose numbering breaks this raises ``RuntimeError``; there is no fallback.
+
+scipy is handed a fresh contiguous output array, and the labeled crop is
+then pasted into a zero lattice. Labeling straight into a strided view of
+the lattice is not equivalent: with a non-contiguous output scipy 1.17.1
+was seen to return a different numbering.
+
+``ComponentLabeling.voxel_lists`` (per-component voxel coordinates) is built
+lazily on first access and cached. Only the brute-force reference
+partition and tests read it; the labeling itself never builds it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -25,7 +46,6 @@ class ComponentLabeling:
 
     labels: np.ndarray
     count: int
-    voxel_lists: tuple[np.ndarray, ...]  # per component: (k, 3) int32 coords
     volumes_vox: np.ndarray
     volumes_mm3: np.ndarray
     spacing: Spacing
@@ -34,12 +54,36 @@ class ComponentLabeling:
         self.labels.setflags(write=False)
         self.volumes_vox.setflags(write=False)
         self.volumes_mm3.setflags(write=False)
-        for v in self.voxel_lists:
-            v.setflags(write=False)
 
     @property
     def shape(self) -> Shape:
         return Shape(*self.labels.shape)
+
+    @cached_property
+    def voxel_lists(self) -> tuple[np.ndarray, ...]:
+        """Per component, its (k, 3) int32 voxel coordinates in scan order."""
+        if self.count == 0:
+            return ()
+        flat = self.labels.ravel(order="F")  # positions are linear indices
+        pos = np.flatnonzero(flat)
+        pos = pos[np.argsort(flat[pos], kind="stable")]
+        coords = np.stack(np.unravel_index(pos, self.labels.shape, order="F"), axis=1)
+        lists = np.split(coords.astype(np.int32), np.cumsum(self.volumes_vox)[:-1])
+        for v in lists:
+            v.setflags(write=False)
+        return tuple(lists)
+
+
+def _foreground_box(voxels: np.ndarray) -> tuple[slice, ...] | None:
+    """Bounding box of the foreground as slices, or None if there is none."""
+    xy = voxels.any(axis=2)
+    box = []
+    for hit in (xy.any(axis=1), xy.any(axis=0), voxels.any(axis=(0, 1))):
+        (ids,) = np.nonzero(hit)
+        if ids.size == 0:
+            return None
+        box.append(slice(int(ids[0]), int(ids[-1]) + 1))
+    return tuple(box)
 
 
 def label_components(mask: BinaryMask) -> ComponentLabeling:
@@ -48,50 +92,24 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
     IDs follow first-encounter order of the canonical x-fastest scan
     (equivalently: ascending minimal linear voxel index).
     """
-    raw, count = ndimage.label(mask.voxels, structure=_STRUCTURE_26)
-    nx, ny, nz = mask.voxels.shape
+    labels = np.zeros(mask.voxels.shape, dtype=np.int32)
+    count, fg = 0, np.zeros(0, dtype=np.int32)
+    box = _foreground_box(mask.voxels)
+    if box is not None:
+        crop = mask.voxels[box].T
+        raw = np.empty(crop.shape, dtype=np.int32)  # contiguous: see module docstring
+        count = int(ndimage.label(crop, structure=_STRUCTURE_26, output=raw))
+        # raw's C order is the crop's x-fastest scan order.
+        flat = raw.ravel()
+        fg = flat[flat != 0]
+        if fg[0] != 1 or np.any(np.diff(np.maximum.accumulate(fg)) > 1):
+            raise RuntimeError("scipy.ndimage.label did not number components in scan order")
+        labels[box] = raw.T
 
-    if count == 0:
-        return ComponentLabeling(
-            labels=raw.astype(np.int32),
-            count=0,
-            voxel_lists=(),
-            volumes_vox=np.zeros(0, dtype=np.int64),
-            volumes_mm3=np.zeros(0, dtype=np.float64),
-            spacing=mask.spacing,
-        )
-
-    # Positions in the F-raveled array ARE the canonical linear indices.
-    flat = raw.ravel(order="F")
-    fg_pos = np.flatnonzero(flat)
-    fg_raw = flat[fg_pos]
-
-    # First occurrence of each raw id in scan order == its minimal linear index.
-    raw_ids, first_pos = np.unique(fg_raw, return_index=True)
-    order = np.argsort(first_pos, kind="stable")
-    remap = np.zeros(count + 1, dtype=np.int32)
-    remap[raw_ids[order]] = np.arange(1, count + 1, dtype=np.int32)
-
-    labels = remap[raw]
-    fg_new = remap[fg_raw]
-
-    volumes_vox = np.bincount(fg_new, minlength=count + 1)[1:].astype(np.int64)
-
-    # Group foreground positions by canonical id, ascending linear index
-    # within each component (fg_pos is already ascending; stable sort keeps it).
-    by_comp = np.argsort(fg_new, kind="stable")
-    pos_sorted = fg_pos[by_comp]
-    splits = np.cumsum(volumes_vox)[:-1]
-    xs = pos_sorted % nx
-    ys = (pos_sorted // nx) % ny
-    zs = pos_sorted // (nx * ny)
-    coords = np.stack([xs, ys, zs], axis=1).astype(np.int32)
-    voxel_lists = tuple(np.split(coords, splits))
-
+    volumes_vox = np.bincount(fg, minlength=count + 1)[1:].astype(np.int64)
     return ComponentLabeling(
         labels=labels,
-        count=int(count),
-        voxel_lists=voxel_lists,
+        count=count,
         volumes_vox=volumes_vox,
         volumes_mm3=volumes_vox * mask.spacing.voxel_volume,
         spacing=mask.spacing,

@@ -103,11 +103,14 @@ def read_mask(path) -> BinaryMask:
     return _read_raw(path, as_mask=True)
 
 
-def _finish(arr: np.ndarray, spacing: Spacing, as_mask, is_float: bool):
-    if is_float and not np.isfinite(arr).all():
-        raise VolumeFormatError("float volume contains NaN or Inf values")
+def _finish(arr: np.ndarray, spacing: Spacing, as_mask, is_float: bool, path: Path):
     if is_float and not as_mask:
-        return LogitVolume(arr.astype(np.float64), spacing)
+        try:  # LogitVolume makes the one float64 copy and rejects NaN/Inf
+            return LogitVolume(arr, spacing)
+        except ValueError as exc:
+            raise VolumeFormatError(f"{path}: {exc}") from exc
+    if is_float and not np.isfinite(arr).all():
+        raise VolumeFormatError(f"{path}: float volume contains NaN or Inf values")
     return BinaryMask(arr != 0, spacing)
 
 
@@ -155,7 +158,7 @@ def _read_raw(path: Path, as_mask):
             f"{header['dtype']}, found {len(raw)}"
         )
     arr = np.frombuffer(raw, dtype=dtype).reshape((nx, ny, nz), order="F")
-    return _finish(arr, sp, as_mask, is_float=header["dtype"] == "f32")
+    return _finish(arr, sp, as_mask, header["dtype"] == "f32", path)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def _read_nifti(path: Path, as_mask):
         )
     arr = np.frombuffer(blob, dtype=dtype, count=nx * ny * nz, offset=offset)
     arr = arr.reshape((nx, ny, nz), order="F")
-    return _finish(arr, sp, as_mask, is_float=datatype == 16)
+    return _finish(arr, sp, as_mask, datatype == 16, path)
 
 
 def write_nifti(vol, path) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import ComponentLabeling, label_components
-from .volumes import BinaryMask, LogitVolume, require_same_grid
+from .volumes import BinaryMask, LogitVolume, require_same_grid, sigmoid_parts
 from .voronoi import EmptyGroundTruthError, VoronoiPartition, voronoi_partition
 
 LOGIT_CLAMP = 40.0
@@ -83,27 +83,36 @@ class LossValue:
 
 @dataclass(frozen=True, eq=False)
 class _VoxelPass:
-    """Per-voxel quantities every DiceCE term reads, computed once per call."""
+    """Per-voxel quantities every DiceCE term reads, computed once per call.
+
+    Every array is laid out like the logits: raw-file masks are x-fastest
+    (Fortran order) while training logits are C order, and elementwise ops
+    on mixed layouts run several times slower.
+    """
 
     p: np.ndarray  # sigmoid of the clamped logits
     dpdl: np.ndarray  # p (1 - p)
-    g: np.ndarray  # float ground truth
+    r: np.ndarray  # p - g, the CE residual
     ce: np.ndarray  # softplus(l) - g l
+    gt: np.ndarray  # bool ground truth
+    buf: np.ndarray  # scratch lattice, reused by every reduction and gradient
 
 
 def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _VoxelPass:
     require_same_grid(logits, gt)
     lc = np.clip(logits.voxels, -LOGIT_CLAMP, LOGIT_CLAMP)
-    e = np.exp(-np.abs(lc))
-    q = 1.0 + e
-    p = np.where(lc >= 0, 1.0 / q, e / q)
-    # g takes the logits' memory layout, not the mask's (raw files read
-    # x-fastest): elementwise ops on mixed layouts run several times slower.
-    g = np.empty_like(lc)
+    p, e = sigmoid_parts(lc)
+    g = np.empty_like(lc, dtype=bool)
     np.copyto(g, gt.voxels)
-    # On GT voxels softplus(l) - l = softplus(-l), the CE of a positive.
-    ce = np.maximum(lc, 0.0) + np.log1p(e) - g * lc
-    return _VoxelPass(p=p, dpdl=p * (1.0 - p), g=g, ce=ce)
+    # softplus(l) = max(l, 0) + log1p(e); on GT voxels softplus(l) - l =
+    # softplus(-l), the CE of a positive.
+    ce = np.maximum(lc, 0.0)
+    ce += np.log1p(e, out=e)
+    buf = e  # free from here on
+    ce -= np.multiply(lc, g, out=buf)
+    dpdl = np.subtract(1.0, p)
+    dpdl *= p
+    return _VoxelPass(p=p, dpdl=dpdl, r=np.subtract(p, g), ce=ce, gt=g, buf=buf)
 
 
 def _as_pass(logits: LogitVolume | _VoxelPass, gt: BinaryMask) -> _VoxelPass:
@@ -115,6 +124,7 @@ class _Terms:
     """Per-term sums of the DiceCE terms over voxel groups, from one reduction."""
 
     index: np.ndarray | None
+    gt_index: np.ndarray | None  # group of each GT voxel, in C order
     shared: bool
     inter: np.ndarray  # sum of p * g
     denom: np.ndarray  # sum of p + sum of g; > 0 on any voxel set, as p > 0
@@ -135,21 +145,33 @@ def _reduce(vp: _VoxelPass, index: np.ndarray | None = None, n: int = 1,
     group 0 belongs to no term or, when ``shared``, to every term. A shared
     term spans the whole lattice: the other terms' voxels are masked to
     p = g = 0 and count in the CE mean only.
+
+    Off the GT p * g is exactly 0 and g is 0/1, so ``inter`` and the sum of
+    g are summed over the GT voxels only, in the same order and to the same
+    bits as over the whole group.
     """
-    per_voxel = (vp.p * vp.g, vp.p, vp.g, vp.ce)
     if index is None:
-        inter, psum, gsum, ce_sum = (np.array([np.sum(x)]) for x in per_voxel)
-        size = np.array([float(vp.p.size)])
+        inter = np.sum(np.multiply(vp.p, vp.gt, out=vp.buf))
+        psum, ce_sum = np.sum(vp.p), np.sum(vp.ce)
+        gsum = float(np.count_nonzero(vp.gt))
+        return _Terms(None, None, shared, np.array([inter]), np.array([psum + gsum]),
+                      np.array([ce_sum]), np.array([float(vp.p.size)]))
+    # bincount and take index in intp: cast once here, not in every call
+    index = index.astype(np.intp)
+    flat, on_gt = index.ravel(), vp.gt.ravel()
+    gt_index = flat[on_gt]
+    inter = np.bincount(gt_index, weights=vp.p.ravel()[on_gt], minlength=n + 1)
+    gsum = np.bincount(gt_index, minlength=n + 1).astype(np.float64)
+    psum = np.bincount(flat, weights=vp.p.ravel(), minlength=n + 1)
+    ce_sum = np.bincount(flat, weights=vp.ce.ravel(), minlength=n + 1)
+    sums = (inter, psum, gsum, ce_sum)
+    if shared:
+        inter, psum, gsum, ce_sum = (s[1:] + s[0] for s in sums)
+        size = np.full(n, float(index.size))
     else:
-        flat = index.ravel()
-        sums = [np.bincount(flat, weights=x.ravel(), minlength=n + 1) for x in per_voxel]
-        if shared:
-            inter, psum, gsum, ce_sum = (s[1:] + s[0] for s in sums)
-            size = np.full(n, float(index.size))
-        else:
-            inter, psum, gsum, ce_sum = (s[1:] for s in sums)
-            size = np.bincount(flat, minlength=n + 1)[1:].astype(np.float64)
-    return _Terms(index, shared, inter, psum + gsum, ce_sum, size)
+        inter, psum, gsum, ce_sum = (s[1:] for s in sums)
+        size = np.bincount(flat, minlength=n + 1)[1:].astype(np.float64)
+    return _Terms(index, gt_index, shared, inter, psum + gsum, ce_sum, size)
 
 
 def _grad(vp: _VoxelPass, t: _Terms, w_dice: float, w_ce: float,
@@ -165,17 +187,25 @@ def _grad(vp: _VoxelPass, t: _Terms, w_dice: float, w_ce: float,
     b = 2.0 * wd * t.inter / (t.denom * t.denom)
     c = w_ce * term_weights / t.size
 
-    def per_voxel(x):
-        if t.index is None:
-            return float(x[0])
-        # Group 0 carries the sum of every term's coefficients when shared.
-        return np.concatenate(([x.sum() if t.shared else 0.0], x))[t.index]
+    # (g a + b) p' + (p - g) c, with g a + b taken per group on and off the GT
+    if t.index is None:
+        a, b, c = float(a[0]), float(b[0]), float(c[0])
+        grad = np.where(vp.gt, a + b, 0.0 * a + b)
+        grad *= vp.dpdl
+        grad += np.multiply(vp.r, c, out=vp.buf)
+        return grad
 
-    # (g a + b) p' + (p - g) c, in place: one lattice-sized temporary at a time
-    grad = vp.g * per_voxel(a)
-    grad += per_voxel(b)
+    def per_group(x):
+        # Group 0 carries the sum of every term's coefficients when shared.
+        return np.concatenate(([x.sum() if t.shared else 0.0], x))
+
+    a, b, c = per_group(a), per_group(b), per_group(c)
+    grad = np.take(0.0 * a + b, t.index, mode="clip")
+    grad[vp.gt] = (a + b)[t.gt_index]
     grad *= vp.dpdl
-    grad += (vp.p - vp.g) * per_voxel(c)
+    ce_grad = np.take(c, t.index, out=vp.buf, mode="clip")
+    ce_grad *= vp.r
+    grad += ce_grad
     return grad
 
 
@@ -334,10 +364,8 @@ def combined_loss(
         inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
     else:
         inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
-    return LossValue(
-        scalar + weights.w_instance * inst.scalar,
-        grad + weights.w_instance * inst.grad,
-    )
+    grad += np.multiply(inst.grad, weights.w_instance, out=vp.buf)
+    return LossValue(scalar + weights.w_instance * inst.scalar, grad)
 
 
 def normalize_gradient(grad: np.ndarray) -> np.ndarray:

@@ -60,6 +60,18 @@ def flood_fill_label(mask: np.ndarray) -> tuple[int, np.ndarray]:
     return count, labels
 
 
+def two_branch_sigmoid(logits: np.ndarray) -> np.ndarray:
+    """Logistic function by sign: 1 / (1 + exp(-l)) for l >= 0, e / (1 + e) with
+    e = exp(l) below, gathered and scattered through boolean masks."""
+    logits = np.asarray(logits, dtype=np.float64)
+    out = np.empty_like(logits)
+    pos = logits >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    e = np.exp(logits[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def finite_difference_grad(fn, logits: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of a scalar function of the logit grid."""
     grad = np.zeros_like(logits, dtype=np.float64)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lesionwise import (
+    LogitVolume,
+    Spacing,
     figure1_scenario,
     figure2_scenario,
     read_volume,
@@ -188,6 +190,56 @@ def test_loss_command_bad_weights_is_usage_error(figure1_files, capsys, weights)
     assert err.startswith("lesionwise loss: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _one_line_error(capsys, command):
+    err = capsys.readouterr().err
+    assert err.startswith(f"lesionwise {command}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("bad_side", ["gt", "logits"])
+def test_loss_command_non_finite_input_names_the_file(tmp_path, capsys, bad_side):
+    rng = np.random.default_rng(1)
+    gt = rng.normal(size=(4, 4, 4))
+    logits = rng.normal(size=(4, 4, 4))
+    (gt if bad_side == "gt" else logits)[1, 2, 3] = np.nan
+    write_volume(LogitVolume(np.zeros((4, 4, 4)), Spacing(1, 1, 1)), tmp_path / "gt.raw")
+    write_volume(LogitVolume(np.zeros((4, 4, 4)), Spacing(1, 1, 1)), tmp_path / "logits.raw")
+    for name, arr in (("gt.raw", gt), ("logits.raw", logits)):
+        (tmp_path / name).write_bytes(arr.astype("<f4").tobytes(order="F"))
+    code = run_cli(["loss", "--gt", str(tmp_path / "gt.raw"),
+                    "--logits", str(tmp_path / "logits.raw")])
+    assert code == EXIT_IO
+    err = _one_line_error(capsys, "loss")
+    assert str(tmp_path / f"{bad_side}.raw") in err
+    assert "NaN or Inf" in err
+
+
+def test_loss_command_spacing_mismatch_is_io_error(tmp_path, capsys):
+    write_volume(mk_mask(np.ones((3, 3, 3)), Spacing(1, 1, 1)), tmp_path / "gt.raw")
+    write_volume(LogitVolume(np.zeros((3, 3, 3)), Spacing(1, 1, 2)), tmp_path / "logits.raw")
+    code = run_cli(["loss", "--gt", str(tmp_path / "gt.raw"),
+                    "--logits", str(tmp_path / "logits.raw")])
+    assert code == EXIT_IO
+    assert "spacings differ" in _one_line_error(capsys, "loss")
+
+
+def test_eval_spacing_mismatch_is_a_case_error(tmp_path):
+    arr = np.zeros((4, 4, 4), dtype=bool)
+    arr[1:3, 1:3, 1:3] = True
+    write_volume(mk_mask(arr, Spacing(1, 1, 1)), tmp_path / "gt.raw")
+    write_volume(mk_mask(arr, Spacing(1, 1, 1.5)), tmp_path / "pred.raw")
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("gt.raw", "gt.raw"), ("gt.raw", "pred.raw")])
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) \
+        == EXIT_PARTIAL
+    cases = json.loads((out / "report.json").read_text())["cases"]
+    assert [c["status"] for c in cases] == ["ok", "error"]
+    assert "spacings differ" in cases[1]["error"]
 
 
 def test_stats_command(tmp_path, capsys):

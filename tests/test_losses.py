@@ -223,7 +223,6 @@ def _permuted(lab, part, perm):
     lab2 = ComponentLabeling(
         labels=remap[lab.labels],
         count=lab.count,
-        voxel_lists=tuple(lab.voxel_lists[i] for i in inverse),
         volumes_vox=lab.volumes_vox[inverse].copy(),
         volumes_mm3=lab.volumes_mm3[inverse].copy(),
         spacing=lab.spacing,

@@ -10,10 +10,12 @@ from lesionwise import (
     ProbVolume,
     Shape,
     Spacing,
+    ShapeMismatchError,
     binarize,
     sigmoid,
 )
-from oracles import UNIT, mk_logits, mk_mask
+from lesionwise.volumes import require_same_grid, stable_sigmoid
+from oracles import UNIT, mk_logits, mk_mask, two_branch_sigmoid
 
 
 def test_shape_validation():
@@ -102,6 +104,30 @@ def test_sigmoid_in_open_unit_interval_and_monotone(arr, bump):
     assert np.all(p > 0) and np.all(p < 1)
     q = sigmoid(mk_logits(arr + bump)).voxels
     assert np.all(q >= p)
+
+
+def test_stable_sigmoid_equals_two_branch_formula_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, 40.0, -40.0, 700.0, -700.0, 800.0, -800.0,
+             tiny, -tiny, 1e-310, -1e-310, np.finfo(np.float64).tiny, 1e-300, -1e-300]
+    rng = np.random.default_rng(11)
+    for arr in (np.array(edges), rng.normal(0, 20, size=(7, 6, 5)),
+                np.asfortranarray(rng.normal(0, 1e-3, size=(4, 5, 6)))):
+        got = stable_sigmoid(arr)
+        assert got.dtype == np.float64
+        assert got.tobytes() == two_branch_sigmoid(arr).tobytes()
+
+
+def test_same_grid_requires_matching_spacing():
+    a = mk_mask(np.zeros((2, 3, 4)), Spacing(0.9, 0.9, 3.0))
+    # the float32 pixdim of a NIfTI file is the same spacing
+    f32 = Spacing(*(float(np.float32(s)) for s in (0.9, 0.9, 3.0)))
+    require_same_grid(a, mk_mask(np.zeros((2, 3, 4)), f32))
+    for other in (Spacing(0.9, 0.9, 3.0001), Spacing(0.9, 1.0, 3.0)):
+        with pytest.raises(ShapeMismatchError, match="spacings differ"):
+            require_same_grid(a, mk_mask(np.zeros((2, 3, 4)), other))
+    with pytest.raises(ShapeMismatchError, match="shapes differ"):
+        require_same_grid(a, mk_mask(np.zeros((2, 3, 5)), Spacing(0.9, 1.0, 3.0)))
 
 
 def test_binarize_threshold_is_inclusive():

@@ -1,6 +1,10 @@
 """Command-line driver: evaluate, compute losses, export maps and stats.
 
-Exit codes: 0 success, 1 usage error, 2 IO/parse error, 3 some cases failed.
+Exit codes: 0 success; 1 usage error (a bad option value, an empty manifest
+or mask directory); 2 an input that cannot be read or parsed, volumes whose
+grids differ, or an output path that cannot be written; 3 some ``eval``
+cases failed, each recorded in the report. Subcommands raise; ``main`` is
+the one error boundary and prints one line ``lesionwise <command>: <message>``.
 Reports are fully deterministic: identical inputs and configuration produce
 byte-identical files regardless of the worker-pool size
 (``LESIONWISE_THREADS``).
@@ -36,6 +40,11 @@ EXIT_PARTIAL = 3
 
 TIE_POLICY = "lowest-component-id"
 
+# Exit 2 in ``main`` and a recorded case error in ``eval``; any other
+# ValueError is a usage error, and any other exception a bug with a traceback.
+INPUT_ERRORS = (OSError, UnicodeError, csv.Error,
+                VolumeFormatError, ShapeMismatchError, EmptyGroundTruthError)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
@@ -67,11 +76,7 @@ def _load_prediction(path, threshold: float) -> BinaryMask:
 
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise VolumeFormatError(f"cannot read manifest {path}: {exc}") from exc
-    reader = csv.DictReader(_io.StringIO(text))
+    reader = csv.DictReader(_io.StringIO(path.read_text(encoding="utf-8")))
     fields = [f.strip() for f in (reader.fieldnames or [])]
     if fields[:2] != ["gt", "pred"]:
         raise VolumeFormatError(
@@ -87,21 +92,17 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 < args.threshold < 1.0:
+        raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     unknown = [f for f in formats if f not in ("json", "csv")]
     if unknown or not formats:
-        print(f"lesionwise eval: unsupported report format {unknown}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unsupported report format {unknown}")
 
     manifest = Path(args.manifest)
-    try:
-        rows = _read_manifest(manifest)
-    except VolumeFormatError as exc:
-        print(f"lesionwise eval: {exc}", file=sys.stderr)
-        return EXIT_IO
+    rows = _read_manifest(manifest)
     if not rows:
-        print("lesionwise eval: manifest lists no cases", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("manifest lists no cases")
 
     base = manifest.parent
     out_dir = Path(args.out)
@@ -119,7 +120,7 @@ def cmd_eval(args) -> int:
         for row, fut in zip(rows, futures):
             try:
                 results.append((row, fut.result(), None))
-            except (VolumeFormatError, ShapeMismatchError, OSError, ValueError) as exc:
+            except INPUT_ERRORS as exc:
                 results.append((row, None, f"{type(exc).__name__}: {exc}"))
 
     case_records = []
@@ -222,26 +223,13 @@ def _config_echo(args, command: str) -> dict:
 
 
 def cmd_loss(args) -> int:
-    try:
-        weights = LossWeights(args.w_global, args.w_instance, args.w_dice, args.w_ce)
-    except ValueError as exc:
-        print(f"lesionwise loss: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        gt = read_mask(args.gt)
-        logits = read_volume(args.logits)
-    except (VolumeFormatError, OSError) as exc:
-        print(f"lesionwise loss: {exc}", file=sys.stderr)
-        return EXIT_IO
+    weights = LossWeights(args.w_global, args.w_instance, args.w_dice, args.w_ce)
+    gt = read_mask(args.gt)
+    logits = read_volume(args.logits)
     if not isinstance(logits, LogitVolume):
-        print("lesionwise loss: the logits volume must be float-valued (f32)", file=sys.stderr)
-        return EXIT_IO
+        raise VolumeFormatError(f"{args.logits}: the logits volume must be float-valued (f32)")
 
-    try:
-        lv = combined_loss(args.loss, logits, gt, weights, metric=args.distance)
-    except ShapeMismatchError as exc:
-        print(f"lesionwise loss: {exc}", file=sys.stderr)
-        return EXIT_IO
+    lv = combined_loss(args.loss, logits, gt, weights, metric=args.distance)
     value = lv.scalar
     if args.grad_out:
         out = normalize_gradient(lv.grad) if args.normalized else lv.grad
@@ -267,18 +255,10 @@ def _iter_mask_files(directory: Path):
 
 def cmd_stats(args) -> int:
     directory = Path(args.masks)
-    if not directory.is_dir():
-        print(f"lesionwise stats: not a directory: {directory}", file=sys.stderr)
-        return EXIT_IO
     paths = list(_iter_mask_files(directory))
     if not paths:
-        print(f"lesionwise stats: no volumes found in {directory}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        stats = corpus_stats(read_mask(p) for p in paths)
-    except (VolumeFormatError, OSError) as exc:
-        print(f"lesionwise stats: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise ValueError(f"no volumes found in {directory}")
+    stats = corpus_stats(read_mask(p) for p in paths)
 
     cc_col = f"{stats.cc_p50:g} [{stats.cc_p25:g}, {stats.cc_p75:g}]"
     vol_col = f"{stats.vol_mean_mm3:.1f} ± {stats.vol_std_mm3:.1f}"
@@ -323,17 +303,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    try:
-        gt = read_mask(args.gt)
-    except (VolumeFormatError, OSError) as exc:
-        print(f"lesionwise voronoi: {exc}", file=sys.stderr)
-        return EXIT_IO
-    lab = label_components(gt)
-    try:
-        part = voronoi_partition(lab, args.distance)
-    except EmptyGroundTruthError as exc:
-        print(f"lesionwise voronoi: {exc}", file=sys.stderr)
-        return EXIT_IO
+    gt = read_mask(args.gt)
+    part = voronoi_partition(label_components(gt), args.distance)
     # Region IDs exported as f32; exact for any realistic component count.
     write_volume(
         LogitVolume(part.region_of.astype(np.float64), gt.spacing), args.out
@@ -396,11 +367,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "threshold") and not 0.0 < args.threshold < 1.0:
-        parser.error(f"--threshold must be in (0, 1), got {args.threshold}")
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        code, message = EXIT_IO, str(exc)
+    except ValueError as exc:
+        code, message = EXIT_USAGE, str(exc)
+    print(f"lesionwise {args.command}: {' '.join(message.splitlines())}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -2,8 +2,7 @@
 
 Per-scan component counts are summarized by their 25/50/75th percentiles
 (linear interpolation); component volumes are pooled over all scans and
-summarized as mean and standard deviation in mm^3 (population std by
-default, sample std on request).
+summarized as mean and population standard deviation in mm^3.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ class CorpusStats:
     n_components: int
 
 
-def corpus_stats(masks, sample_std: bool = False) -> CorpusStats:
+def corpus_stats(masks) -> CorpusStats:
     """Component-count percentiles and pooled volume statistics for a corpus.
 
     A scan with zero components contributes count 0 and no volumes. With no
@@ -47,9 +46,8 @@ def corpus_stats(masks, sample_std: bool = False) -> CorpusStats:
     p25, p50, p75 = np.percentile(np.array(counts, dtype=float), [25.0, 50.0, 75.0])
     if volumes:
         pooled = np.concatenate(volumes)
-        ddof = 1 if (sample_std and pooled.size > 1) else 0
         vol_mean = float(pooled.mean())
-        vol_std = float(pooled.std(ddof=ddof))
+        vol_std = float(pooled.std())
     else:
         pooled = np.zeros(0)
         vol_mean = float("nan")

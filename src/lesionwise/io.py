@@ -27,6 +27,7 @@ from __future__ import annotations
 import gzip
 import json
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +87,7 @@ def read_volume(path):
     Raw volumes require the JSON sidecar next to the binary file. NIfTI-1
     volumes (.nii, .nii.gz) are detected by name.
     """
-    path = Path(path)
-    if _is_nifti_path(path):
-        return _read_nifti(path, as_mask=None)
-    return _read_raw(path, as_mask=None)
+    return _read(Path(path), as_mask=False)
 
 
 def read_mask(path) -> BinaryMask:
@@ -97,18 +95,33 @@ def read_mask(path) -> BinaryMask:
 
     A float volume holding NaN or Inf raises ``VolumeFormatError``.
     """
-    path = Path(path)
-    if _is_nifti_path(path):
-        return _read_nifti(path, as_mask=True)
-    return _read_raw(path, as_mask=True)
+    return _read(Path(path), as_mask=True)
 
 
-def _finish(arr: np.ndarray, spacing: Spacing, as_mask, is_float: bool, path: Path):
+# What the parsers raise on a malformed file besides VolumeFormatError:
+# sidecar values of the wrong type or range, and damaged gzip streams.
+_PARSE_ERRORS = (TypeError, ValueError, OverflowError, EOFError, zlib.error, gzip.BadGzipFile)
+
+
+def _read(path: Path, as_mask: bool):
+    """Read one volume file; every parse failure is a VolumeFormatError.
+
+    Its message names ``path``. A file that cannot be opened stays an
+    ``OSError``, whose message names the file.
+    """
+    try:
+        if _is_nifti_path(path):
+            return _read_nifti(path, as_mask)
+        return _read_raw(path, as_mask)
+    except VolumeFormatError:
+        raise
+    except _PARSE_ERRORS as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from exc
+
+
+def _finish(arr: np.ndarray, spacing: Spacing, as_mask: bool, is_float: bool, path: Path):
     if is_float and not as_mask:
-        try:  # LogitVolume makes the one float64 copy and rejects NaN/Inf
-            return LogitVolume(arr, spacing)
-        except ValueError as exc:
-            raise VolumeFormatError(f"{path}: {exc}") from exc
+        return LogitVolume(arr, spacing)  # the one float64 copy; rejects NaN/Inf
     if is_float and not np.isfinite(arr).all():
         raise VolumeFormatError(f"{path}: float volume contains NaN or Inf values")
     return BinaryMask(arr != 0, spacing)
@@ -118,13 +131,13 @@ def _finish(arr: np.ndarray, spacing: Spacing, as_mask, is_float: bool, path: Pa
 # raw format
 # ---------------------------------------------------------------------------
 
-def _read_raw(path: Path, as_mask):
+def _read_raw(path: Path, as_mask: bool):
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise VolumeFormatError(f"missing raw sidecar header: {sidecar}")
-    try:
-        header = json.loads(sidecar.read_text())
-    except json.JSONDecodeError as exc:
+    try:  # bad JSON or bad UTF-8
+        header = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise VolumeFormatError(f"malformed sidecar {sidecar}: {exc}") from exc
 
     for key in ("shape", "spacing", "dtype", "order"):
@@ -132,20 +145,23 @@ def _read_raw(path: Path, as_mask):
             raise VolumeFormatError(f"sidecar {sidecar} is missing key {key!r}")
     shape = header["shape"]
     spacing = header["spacing"]
-    if not (isinstance(shape, list) and len(shape) == 3):
-        raise VolumeFormatError(f"sidecar shape must be a list of 3 ints, got {shape!r}")
+    if not (isinstance(shape, list) and len(shape) == 3 and all(type(n) is int for n in shape)):
+        raise VolumeFormatError(f"sidecar {sidecar}: shape must be a list of 3 ints, got {shape!r}")
     if not (isinstance(spacing, list) and len(spacing) == 3):
-        raise VolumeFormatError(f"sidecar spacing must be a list of 3 numbers, got {spacing!r}")
+        raise VolumeFormatError(
+            f"sidecar {sidecar}: spacing must be a list of 3 numbers, got {spacing!r}"
+        )
     if header["order"] != "x-fastest":
-        raise VolumeFormatError(f"unsupported order {header['order']!r} (expected 'x-fastest')")
+        raise VolumeFormatError(
+            f"sidecar {sidecar}: unsupported order {header['order']!r} (expected 'x-fastest')"
+        )
     if header["dtype"] not in RAW_DTYPES:
-        raise VolumeFormatError(f"unsupported raw dtype {header['dtype']!r} (expected 'u8' or 'f32')")
+        raise VolumeFormatError(
+            f"sidecar {sidecar}: unsupported raw dtype {header['dtype']!r} (expected 'u8' or 'f32')"
+        )
 
-    try:
-        nx, ny, nz = (int(n) for n in shape)
-        sp = Spacing(*(float(s) for s in spacing))
-    except (TypeError, ValueError) as exc:
-        raise VolumeFormatError(f"sidecar {sidecar}: {exc}") from exc
+    nx, ny, nz = shape
+    sp = Spacing(*(float(s) for s in spacing))
     if min(nx, ny, nz) <= 0:
         raise VolumeFormatError(f"sidecar {sidecar}: non-positive shape {shape!r}")
     dtype = RAW_DTYPES[header["dtype"]]
@@ -165,7 +181,7 @@ def _read_raw(path: Path, as_mask):
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
-def _read_nifti(path: Path, as_mask):
+def _read_nifti(path: Path, as_mask: bool):
     blob = path.read_bytes()
     if blob[:2] == b"\x1f\x8b":
         blob = gzip.decompress(blob)

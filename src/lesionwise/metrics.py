@@ -149,7 +149,13 @@ def match_instances(
 ) -> MatchResult:
     """Maximum-cardinality one-to-one matching on the >=1-voxel overlap graph.
 
-    Deterministic given the canonical component IDs.
+    Several maximum matchings can exist, and ``gt_detected`` and quartile
+    recall depend on which one is returned. It is the one Hopcroft–Karp
+    finds when GT IDs are visited in ascending order and each GT's
+    overlapping pred IDs are tried in ascending order. So a pred that
+    overlaps two otherwise unmatched GTs goes to the lower GT ID. Another
+    matcher (e.g. ``scipy.sparse.csgraph.maximum_bipartite_matching``) can
+    return a different maximum matching and so change the reports.
     """
     if pred_lab.labels.shape != gt_lab.labels.shape:
         raise ValueError("labelings cover different grids")
@@ -220,14 +226,13 @@ def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> Cas
     )
 
 
-def quartile_recall(cases, boundaries=None) -> QuartileRecall:
+def quartile_recall(cases) -> QuartileRecall:
     """Recall per volume quartile.
 
-    By default the boundaries are the linearly interpolated 25/50/75th
-    percentiles of all GT component volumes pooled across the evaluated
-    cases; pass ``boundaries`` to reuse cut points from another set. Buckets
-    are half-open with the maximum closed: (-inf, b25], (b25, b50],
-    (b50, b75], (b75, +inf).
+    The boundaries are the linearly interpolated 25/50/75th percentiles of
+    all GT component volumes pooled across the evaluated cases. Buckets are
+    half-open with the maximum closed: (-inf, b25], (b25, b50], (b50, b75],
+    (b75, +inf).
     """
     vols = np.concatenate([np.asarray(c.gt_volumes_mm3, dtype=float) for c in cases]) \
         if cases else np.zeros(0)
@@ -236,12 +241,7 @@ def quartile_recall(cases, boundaries=None) -> QuartileRecall:
     if vols.size == 0:
         raise ValueError("quartile recall needs at least one ground-truth component")
 
-    if boundaries is None:
-        b1, b2, b3 = np.percentile(vols, [25.0, 50.0, 75.0])
-    else:
-        b1, b2, b3 = (float(b) for b in boundaries)
-        if not b1 <= b2 <= b3:
-            raise ValueError("quartile boundaries must be non-decreasing")
+    b1, b2, b3 = np.percentile(vols, [25.0, 50.0, 75.0])
     bucket = np.digitize(vols, [b1, b2, b3], right=True)
 
     detected, total, recalls = [], [], []

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lesionwise
 from lesionwise import (
     LogitVolume,
     Spacing,
@@ -329,3 +334,110 @@ def test_bad_threshold_is_usage_error(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli(["frobnicate"]) == EXIT_USAGE
+
+
+def _bad_inputs(d: Path) -> None:
+    """A good mask and logits plus one file for each way an input can be malformed."""
+    sc = figure2_scenario()
+    write_volume(sc.gt, d / "gt.raw")
+    write_volume(sc.logits, d / "logits.raw")
+    (d / "afile").write_text("not a directory")
+    header = {"shape": [2, 2, 2], "spacing": [1, 1, 1], "dtype": "u8", "order": "x-fastest"}
+    sidecars = {
+        "int5": b"5",
+        "dtype_list": json.dumps(dict(header, dtype=["u8"])).encode(),
+        "not_utf8": b'{"shape": [2, 2, 2], "\xff": 1}',
+    }
+    for name, text in sidecars.items():
+        (d / f"{name}.raw").write_bytes(bytes(8))
+        (d / f"{name}.raw.json").write_bytes(text)
+    write_volume(sc.gt, d / "gt.nii.gz")
+    blob = (d / "gt.nii.gz").read_bytes()
+    (d / "truncated.nii.gz").write_bytes(blob[: len(blob) // 2])
+    crc = bytearray(blob)
+    crc[-6] ^= 0xFF  # inside the gzip trailer's CRC
+    (d / "bad_crc.nii.gz").write_bytes(bytes(crc))
+    (d / "not_utf8.csv").write_bytes(b"gt,pred\n\xffgt.raw,gt.raw\n")
+    (d / "huge_field.csv").write_text("gt,pred\n" + "g" * 200_000 + ",gt.raw\n")
+    _write_manifest(d / "ok.csv", [("gt.raw", "gt.raw")])
+    (d / "masks").mkdir()
+    write_volume(sc.gt, d / "masks" / "a.raw")
+    (d / "masks" / "b.nii.gz").write_bytes(blob[: len(blob) // 2])
+
+
+# argv with {d} for the directory of _bad_inputs, the expected exit code and
+# a file name the message must hold (None: nothing to name)
+PROBES = [
+    pytest.param(["voronoi", "--gt", "{d}/gt.raw", "--out", "{d}/no/v.raw"],
+                 EXIT_IO, "v.raw", id="voronoi-out-missing-dir"),
+    pytest.param(["voronoi", "--gt", "{d}/int5.raw", "--out", "{d}/v.raw"],
+                 EXIT_IO, "int5.raw", id="voronoi-sidecar-int"),
+    pytest.param(["voronoi", "--gt", "{d}/dtype_list.raw", "--out", "{d}/v.raw"],
+                 EXIT_IO, "dtype_list.raw", id="voronoi-sidecar-dtype-list"),
+    pytest.param(["voronoi", "--gt", "{d}/not_utf8.raw", "--out", "{d}/v.raw"],
+                 EXIT_IO, "not_utf8.raw", id="voronoi-sidecar-not-utf8"),
+    pytest.param(["voronoi", "--gt", "{d}/truncated.nii.gz", "--out", "{d}/v.raw"],
+                 EXIT_IO, "truncated.nii.gz", id="voronoi-truncated-gz"),
+    pytest.param(["voronoi", "--gt", "{d}/bad_crc.nii.gz", "--out", "{d}/v.raw"],
+                 EXIT_IO, "bad_crc.nii.gz", id="voronoi-bad-crc-gz"),
+    pytest.param(["voronoi", "--gt", "{d}/nope.nii", "--out", "{d}/v.raw"],
+                 EXIT_IO, "nope.nii", id="voronoi-missing-input"),
+    pytest.param(["loss", "--gt", "{d}/gt.raw", "--logits", "{d}/logits.raw",
+                  "--grad-out", "{d}/no/g.raw"],
+                 EXIT_IO, "g.raw", id="loss-grad-out-missing-dir"),
+    pytest.param(["loss", "--gt", "{d}/truncated.nii.gz", "--logits", "{d}/logits.raw"],
+                 EXIT_IO, "truncated.nii.gz", id="loss-truncated-gz"),
+    pytest.param(["phantom", "--name", "figure1", "--out", "{d}/afile/x"],
+                 EXIT_IO, "afile", id="phantom-out-under-file"),
+    pytest.param(["eval", "--manifest", "{d}/ok.csv", "--out", "{d}/afile"],
+                 EXIT_IO, "afile", id="eval-out-is-file"),
+    pytest.param(["eval", "--manifest", "{d}/not_utf8.csv", "--out", "{d}/o"],
+                 EXIT_IO, None, id="eval-manifest-not-utf8"),
+    pytest.param(["eval", "--manifest", "{d}/huge_field.csv", "--out", "{d}/o"],
+                 EXIT_IO, None, id="eval-manifest-huge-field"),
+    pytest.param(["eval", "--manifest", "{d}/ok.csv", "--out", "{d}/o", "--threshold", "0"],
+                 EXIT_USAGE, None, id="eval-bad-threshold"),
+    pytest.param(["stats", "--masks", "{d}/afile"],
+                 EXIT_IO, "afile", id="stats-on-a-file"),
+    pytest.param(["stats", "--masks", "{d}/masks"],
+                 EXIT_IO, "b.nii.gz", id="stats-truncated-gz"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, named", PROBES)
+def test_bad_input_or_output_is_one_line_error(tmp_path, capsys, argv, expected, named):
+    _bad_inputs(tmp_path)
+    code = run_cli([a.format(d=tmp_path) for a in argv])
+    assert code == expected
+    err = _one_line_error(capsys, argv[0])
+    if named is not None:
+        assert named in err
+
+
+def test_eval_truncated_case_is_recorded(tmp_path):
+    _bad_inputs(tmp_path)
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("gt.raw", "gt.raw"), ("gt.raw", "truncated.nii.gz")])
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) == EXIT_PARTIAL
+    cases = json.loads((out / "report.json").read_text())["cases"]
+    assert [c["status"] for c in cases] == ["ok", "error"]
+    assert cases[1]["error"].startswith("VolumeFormatError: ")
+    assert "truncated.nii.gz" in cases[1]["error"]
+
+
+def test_module_entry_point_exits_2_with_one_line(tmp_path):
+    # Only a real process tells an uncaught exception (status 1) from EXIT_USAGE.
+    _bad_inputs(tmp_path)
+    src = str(Path(lesionwise.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lesionwise", "voronoi",
+         "--gt", str(tmp_path / "truncated.nii.gz"), "--out", str(tmp_path / "v.raw")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr.startswith("lesionwise voronoi: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -63,13 +63,6 @@ def test_all_empty_corpus_has_nan_volume_stats():
     assert stats.n_components == 0
 
 
-def test_sample_std_flag():
-    masks = [_mask_with_n_points(2), _mask_with_n_points(1)]
-    pop = corpus_stats(masks)
-    samp = corpus_stats(masks, sample_std=True)
-    assert samp.vol_std_mm3 >= pop.vol_std_mm3
-
-
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         corpus_stats([])

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lesionwise import (
     BinaryMask,
@@ -117,11 +119,13 @@ def test_raw_errors(tmp_path):
     with pytest.raises(VolumeFormatError):
         read_volume(path)
 
-    sidecar.write_text(json.dumps({
-        "shape": [2, "x", 2], "spacing": [1, 1, 1], "dtype": "u8", "order": "x-fastest"
-    }))
-    with pytest.raises(VolumeFormatError):
-        read_volume(path)
+    # a float or a bool is not an extent, though int() would take it
+    for shape in ([2, "x", 2], [2.5, 2, 2], [True, 8, 1]):
+        sidecar.write_text(json.dumps({
+            "shape": shape, "spacing": [1, 1, 1], "dtype": "u8", "order": "x-fastest"
+        }))
+        with pytest.raises(VolumeFormatError, match="3 ints"):
+            read_volume(path)
 
     sidecar.write_text(json.dumps({
         "shape": [2, -2, 2], "spacing": [1, 1, 1], "dtype": "u8", "order": "x-fastest"
@@ -294,3 +298,90 @@ def test_write_nifti_gz_logits(tmp_path):
     back = read_volume(path)
     assert isinstance(back, LogitVolume)
     assert np.array_equal(back.voxels, vol.voxels)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every malformed file is a VolumeFormatError that names it
+# ---------------------------------------------------------------------------
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _byte_edits(max_pos):
+    return st.lists(st.tuples(st.integers(0, max_pos), st.integers(0, 255)), max_size=4)
+
+
+def _apply(blob: bytes, edits, cut) -> bytes:
+    out = bytearray(blob)
+    for pos, val in edits:
+        if pos < len(out):
+            out[pos] = val
+    return bytes(out[:cut]) if cut is not None else bytes(out)
+
+
+def _read_both(path):
+    """Read ``path`` as a volume and as a mask; each must fail cleanly or succeed."""
+    for read in (read_volume, read_mask):
+        try:
+            vol = read(path)
+        except VolumeFormatError as exc:
+            assert str(path) in str(exc)
+            continue
+        assert isinstance(vol, BinaryMask if read is read_mask else (BinaryMask, LogitVolume))
+        assert vol.voxels.shape == vol.shape.as_tuple()
+        assert all(np.isfinite(vol.spacing.as_tuple()))
+
+
+@_FUZZ
+@given(
+    dtype=st.sampled_from(["u8", "f32"]),
+    replaced=st.dictionaries(st.sampled_from(["shape", "spacing", "dtype", "order"]),
+                             _json_values, max_size=2),
+    dropped=st.sets(st.sampled_from(["shape", "spacing", "dtype", "order"]), max_size=1),
+    top_level=st.none() | _json_values,
+    sidecar_edits=_byte_edits(80),
+    sidecar_cut=st.none() | st.integers(0, 80),
+    body_edits=_byte_edits(47),
+    body_cut=st.none() | st.integers(0, 60),
+)
+def test_fuzzed_raw_volume_is_read_or_rejected(tmp_path, dtype, replaced, dropped, top_level,
+                                               sidecar_edits, sidecar_cut, body_edits,
+                                               body_cut):
+    header = {"shape": [2, 3, 2], "spacing": [1.0, 0.5, 2.0], "dtype": dtype,
+              "order": "x-fastest"}
+    header.update(replaced)
+    for key in dropped:
+        header.pop(key, None)
+    text = json.dumps(header if top_level is None else top_level).encode()
+    body = np.linspace(-2, 2, 12).astype("<f4" if dtype == "f32" else "u1").tobytes()
+    path = tmp_path / "fuzz.raw"
+    path.with_name("fuzz.raw.json").write_bytes(_apply(text, sidecar_edits, sidecar_cut))
+    path.write_bytes(_apply(body, body_edits, body_cut))
+    _read_both(path)
+
+
+@_FUZZ
+@given(
+    datatype=st.sampled_from([2, 4, 16]),
+    header_edits=_byte_edits(351),
+    cut=st.none() | st.integers(0, 400),
+    gz=st.booleans(),
+    gz_edits=_byte_edits(120),
+    gz_cut=st.none() | st.integers(0, 120),
+)
+def test_fuzzed_nifti_volume_is_read_or_rejected(tmp_path, datatype, header_edits, cut, gz,
+                                                 gz_edits, gz_cut):
+    dtype = {2: "u1", 4: "<i2", 16: "<f4"}[datatype]
+    data = np.linspace(-2, 2, 12).astype(dtype).tobytes()
+    blob = _apply(_nifti_bytes((2, 3, 2), (1.0, 0.5, 2.0), datatype, data), header_edits, cut)
+    path = tmp_path / ("fuzz.nii.gz" if gz else "fuzz.nii")
+    path.write_bytes(_apply(gzip.compress(blob, mtime=0), gz_edits, gz_cut) if gz else blob)
+    _read_both(path)

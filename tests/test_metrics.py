@@ -143,6 +143,9 @@ def test_one_pred_over_two_gt_matches_once():
     assert len(res.pairs) == 1
     assert len(res.unmatched_gt) == 1
     assert res.unmatched_pred == ()
+    # the documented choice: the pred goes to the lower GT ID
+    assert res.pairs == ((1, 1),)
+    assert res.unmatched_gt == (2,)
 
 
 def test_disjoint_sets_match_nothing():
@@ -229,15 +232,6 @@ def test_quartile_recall_empty_bucket_is_undefined():
 def test_quartile_recall_requires_components():
     with pytest.raises(ValueError):
         quartile_recall([_case([], [])])
-
-
-def test_quartile_recall_with_external_boundaries():
-    c = _case([1.0, 3.0, 5.0, 7.0], [False, True, True, True])
-    qr = quartile_recall([c], boundaries=(2.0, 4.0, 6.0))
-    assert qr.boundaries == (2.0, 4.0, 6.0)
-    assert qr.recall_q == (0.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        quartile_recall([c], boundaries=(4.0, 2.0, 6.0))
 
 
 def test_pooled_recall_consistency():

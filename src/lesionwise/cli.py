@@ -76,14 +76,18 @@ def _load_prediction(path, threshold: float) -> BinaryMask:
 
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
-    reader = csv.DictReader(_io.StringIO(path.read_text(encoding="utf-8")))
+    try:  # not UTF-8, or a field over csv's size limit
+        reader = csv.DictReader(_io.StringIO(path.read_text(encoding="utf-8")))
+        records = list(reader)
+    except (UnicodeError, csv.Error) as exc:
+        raise VolumeFormatError(f"manifest {path}: {exc}") from exc
     fields = [f.strip() for f in (reader.fieldnames or [])]
     if fields[:2] != ["gt", "pred"]:
         raise VolumeFormatError(
             f"manifest {path} must start with header 'gt,pred', got {reader.fieldnames}"
         )
     rows = []
-    for row in reader:
+    for row in records:
         gt = (row.get("gt") or "").strip()
         pred = (row.get("pred") or "").strip()
         if gt and pred:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import gzip
 import json
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -147,9 +148,12 @@ def _read_raw(path: Path, as_mask: bool):
     spacing = header["spacing"]
     if not (isinstance(shape, list) and len(shape) == 3 and all(type(n) is int for n in shape)):
         raise VolumeFormatError(f"sidecar {sidecar}: shape must be a list of 3 ints, got {shape!r}")
-    if not (isinstance(spacing, list) and len(spacing) == 3):
+    # JSON numbers only (bool is an int subclass); the bound also rejects ints
+    # too large for a float.
+    if not (isinstance(spacing, list) and len(spacing) == 3
+            and all(type(s) in (int, float) and 0 < s <= sys.float_info.max for s in spacing)):
         raise VolumeFormatError(
-            f"sidecar {sidecar}: spacing must be a list of 3 numbers, got {spacing!r}"
+            f"sidecar {sidecar}: spacing must be a list of 3 finite numbers > 0, got {spacing!r}"
         )
     if header["order"] != "x-fastest":
         raise VolumeFormatError(

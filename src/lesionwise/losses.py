@@ -295,7 +295,11 @@ def cc_instance_terms(
     w_dice: float = 1.0,
     w_ce: float = 1.0,
 ) -> list[LossValue]:
-    """Unweighted per-component terms of ``cc_instance_loss`` (no 1/count)."""
+    """Unweighted per-component terms of ``cc_instance_loss`` (no 1/count).
+
+    Each term carries its own dense gradient, so the result holds one float64
+    lattice per lesion: memory is count x lattice, where the loss returns one.
+    """
     return _each_term(*_cc_terms(logits, gt, lab, part), w_dice, w_ce)
 
 
@@ -323,7 +327,11 @@ def blob_instance_terms(
     w_dice: float = 1.0,
     w_ce: float = 1.0,
 ) -> list[LossValue]:
-    """Unweighted per-component terms of ``blob_instance_loss`` (no 1/count)."""
+    """Unweighted per-component terms of ``blob_instance_loss`` (no 1/count).
+
+    Each term carries its own dense gradient, so the result holds one float64
+    lattice per lesion: memory is count x lattice, where the loss returns one.
+    """
     return _each_term(*_blob_terms(logits, gt, lab), w_dice, w_ce)
 
 

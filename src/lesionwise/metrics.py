@@ -3,6 +3,13 @@
 Undefined values (zero-denominator metrics, e.g. recall with no ground-truth
 components) are reported as ``None`` and excluded from aggregation; the
 aggregate keeps a count of them.
+
+CC-Dice needs the Voronoi region of a GT component only at the predicted
+voxels, so evaluation looks regions up there with
+``voronoi.nearest_component`` and never builds the dense, lattice-wide
+partition. The lookup's cost grows with the predicted voxels outside the
+ground truth, and its memory with those voxels plus the components'
+boundary voxels.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import numpy as np
 
 from .components import ComponentLabeling, label_components
 from .volumes import BinaryMask, require_same_grid
-from .voronoi import VoronoiPartition, voronoi_partition
+from .voronoi import nearest_component
+from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps this attribute
 
 
 @dataclass(frozen=True)
@@ -77,24 +85,23 @@ def cc_dice(
     gt: BinaryMask,
     metric: str = "voxel",
     lab: ComponentLabeling | None = None,
-    part: VoronoiPartition | None = None,
 ) -> float | None:
     """Mean over GT components C of Dice(P ∩ R_C, C); None for empty GT.
 
-    ``lab``/``part`` may be passed to reuse precomputed structures.
+    ``lab`` may be passed to reuse the GT labeling. R_C is read only at the
+    predicted voxels, through ``nearest_component``.
     """
     require_same_grid(pred, gt)
     if lab is None:
         lab = label_components(gt)
     if lab.count == 0:
         return None
-    if part is None:
-        part = voronoi_partition(lab, metric)
 
     n = lab.count
     p = pred.voxels
     inter = np.bincount(lab.labels[p], minlength=n + 1)[1:]
-    pred_in_region = np.bincount(part.region_of[p], minlength=n + 1)[1:]
+    region = nearest_component(lab, np.argwhere(p), metric)
+    pred_in_region = np.bincount(region, minlength=n + 1)[1:]
     denom = pred_in_region + lab.volumes_vox
     return float(np.mean(2.0 * inter / denom))
 
@@ -201,8 +208,7 @@ def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> Cas
         detected[g - 1] = True
 
     if n_gt > 0:
-        part = voronoi_partition(gt_lab, metric)
-        ccd = cc_dice(pred, gt, metric, lab=gt_lab, part=part)
+        ccd = cc_dice(pred, gt, metric, lab=gt_lab)
         recall = tp / n_gt
     else:
         ccd = None

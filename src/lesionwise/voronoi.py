@@ -1,6 +1,6 @@
-"""Nearest-component Voronoi partition of the full voxel lattice.
+"""Nearest-component Voronoi regions: a dense partition and a point lookup.
 
-Every lattice voxel is assigned the ground-truth component that minimizes
+A voxel belongs to the region of the ground-truth component that minimizes
 the Euclidean distance to the component's voxel set. Two distance metrics
 are supported:
 
@@ -15,6 +15,12 @@ strict argmin while scanning IDs in ascending order, which realizes the tie
 policy without any floating-point tie heuristics. ``voronoi_partition_bruteforce``
 evaluates the defining minimization verbatim (min over every component
 voxel) and serves as the conformance oracle.
+
+``voronoi_partition`` assigns every lattice voxel and serves the loss set-up
+and the ``voronoi`` subcommand. ``nearest_component`` answers the same
+question only at given voxels, with the same tie policy; evaluation reads
+regions only at the predicted voxels, so it uses the lookup and never builds
+the dense partition (see "Lookup" below).
 
 Windows
 -------
@@ -47,7 +53,38 @@ lattices. A single component owns the lattice and needs no EDT. Peak
 memory, measured with tracemalloc, is at most about 22 bytes per lattice
 voxel on the voxel metric (int32 squared distances, exact for any lattice
 with ``sum((n_i - 1)**2) < 2**31``, int64 above) and about 40 on the
-physical metric (float64 distances and their temporaries).
+physical metric (float64 distances and their temporaries). The windows and
+this cost concern only the dense partition. A window can come close to the
+whole lattice when a small component sits far from the others.
+
+Lookup
+------
+``nearest_component`` maps each query voxel to its lowest-ID nearest
+component without a lattice-sized array. It rests on one lemma: under
+either metric, no interior voxel of a component C (one whose 6-neighbours
+inside the lattice all lie in C) is strictly nearer to a voxel q outside C
+than every 6-boundary voxel of C. Proof: take a nearest voxel v of C. If v
+is interior, step one voxel from v toward q along an axis where they
+differ. That neighbour lies between v and q, so inside the lattice, and
+hence in C. Its gap to q shrinks by one on that axis and is unchanged on
+the others; each rounded square term of ``_site_sq_dist`` is monotone in
+its gap and float addition is monotone, so the neighbour is no farther and
+is again nearest. Each step cuts the L1 gap to q by one, and q is not in C,
+so the walk ends at a nearest voxel that is not interior: a boundary voxel.
+
+So one ``scipy.spatial.cKDTree`` per component, over its boundary voxels,
+finds the least ``_site_sq_dist``. On the voxel metric the tree's squared
+distances are float64 sums of integer and half-integer squares, which are
+exact, so its one hit per query is a true minimizer and is re-scored with
+``_site_sq_dist``. On the physical metric the tree's float distances may be
+a few ulps off, so the k nearest are re-scored; if the k-th tree distance
+lies within the ``_PHYS_SLACK`` relative slack of the first, a voxel beyond
+the k-th could still be the minimizer and k doubles for that query. Voxels
+farther than the slack cannot tie after rounding, so there is no margin and
+no fallback. Components are merged in ascending ID with a strict ``<``, as
+in the partition. The cost is one query per component for each query voxel
+outside the ground truth; memory is O(points + boundary voxels) plus one
+bool mask of each component's bounding box, never a lattice-sized array.
 """
 
 from __future__ import annotations
@@ -213,6 +250,76 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
         count=lab.count,
         metric=metric,
     )
+
+
+def _boundary_sites(lab: ComponentLabeling) -> list[np.ndarray]:
+    """Per component, its (k, 3) voxels with a 6-neighbour in the lattice outside it."""
+    shape = lab.labels.shape
+    sites = []
+    for cid, box in enumerate(ndimage.find_objects(lab.labels), start=1):
+        # One voxel of margin where the lattice allows: a neighbour outside the
+        # box is then inside the array, and a missing one is outside the lattice.
+        ext = tuple(slice(max(s.start - 1, 0), min(s.stop + 1, n)) for s, n in zip(box, shape))
+        own = lab.labels[ext] == cid
+        inner = own.copy()
+        for axis in range(3):
+            lo = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+            hi = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+            inner[hi] &= own[lo]
+            inner[lo] &= own[hi]
+        sites.append(np.argwhere(own & ~inner) + [s.start for s in ext])
+    return sites
+
+
+def nearest_component(lab: ComponentLabeling, points, metric: str = "voxel") -> np.ndarray:
+    """Lowest-ID nearest component (int32, 1..count) of each voxel in an (n, 3) int array.
+
+    Equals ``voronoi_partition(lab, metric).region_of`` at ``points``, ties
+    included, without building the partition: a ground-truth voxel maps to
+    its own label, every other voxel queries one k-d tree per component over
+    the component's boundary voxels (see "Lookup" in the module docstring
+    for the lemma that makes this exact).
+    """
+    _check_metric(metric)
+    if lab.count < 1:
+        raise EmptyGroundTruthError("cannot look up Voronoi regions: no components")
+    points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    if points.size and (points.min() < 0 or np.any(points.max(axis=0) >= lab.labels.shape)):
+        raise ValueError(f"points must lie in the lattice of shape {lab.labels.shape}")
+    if lab.count == 1:
+        return np.ones(len(points), dtype=np.int32)
+
+    region = lab.labels[tuple(points.T)]
+    outside = np.flatnonzero(region == 0)
+    if outside.size == 0:
+        return region
+    from scipy.spatial import cKDTree  # lazy: importing scipy.spatial is slow
+
+    query = points[outside]
+    if metric == "voxel":
+        scale, best = 1.0, np.full(len(query), np.iinfo(np.int64).max)
+    else:
+        scale, best = np.array(lab.spacing.as_tuple()), np.full(len(query), np.inf)
+    for cid, sites in enumerate(_boundary_sites(lab), start=1):
+        tree = cKDTree(sites * scale)
+        d2 = np.empty_like(best)
+        todo = np.arange(len(query))
+        k = 1 if metric == "voxel" else 2
+        while todo.size:
+            k = min(k, len(sites))
+            dist, idx = tree.query(query[todo] * scale, k=k)
+            dist, idx = dist.reshape(len(todo), k), idx.reshape(len(todo), k)
+            gap = query[todo, None, :] - sites[idx]
+            d2[todo] = _site_sq_dist(gap[..., 0], gap[..., 1], gap[..., 2], metric,
+                                     lab.spacing).min(axis=1)
+            if metric == "voxel" or k == len(sites):
+                break
+            todo = todo[dist[:, -1] <= dist[:, 0] * _PHYS_SLACK]
+            k *= 2
+        closer = d2 < best
+        region[outside[closer]] = cid
+        np.minimum(best, d2, out=best)
+    return region
 
 
 def voronoi_partition_bruteforce(

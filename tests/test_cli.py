@@ -347,6 +347,8 @@ def _bad_inputs(d: Path) -> None:
         "int5": b"5",
         "dtype_list": json.dumps(dict(header, dtype=["u8"])).encode(),
         "not_utf8": b'{"shape": [2, 2, 2], "\xff": 1}',
+        "spacing_strings": json.dumps(dict(header, spacing=["1.5", True, " 2 "])).encode(),
+        "spacing_inf": json.dumps(dict(header, spacing=[1, 1e400, 1])).encode(),
     }
     for name, text in sidecars.items():
         (d / f"{name}.raw").write_bytes(bytes(8))
@@ -391,10 +393,14 @@ PROBES = [
                  EXIT_IO, "afile", id="phantom-out-under-file"),
     pytest.param(["eval", "--manifest", "{d}/ok.csv", "--out", "{d}/afile"],
                  EXIT_IO, "afile", id="eval-out-is-file"),
+    pytest.param(["voronoi", "--gt", "{d}/spacing_strings.raw", "--out", "{d}/v.raw"],
+                 EXIT_IO, "spacing_strings.raw.json", id="voronoi-sidecar-spacing-strings"),
+    pytest.param(["voronoi", "--gt", "{d}/spacing_inf.raw", "--out", "{d}/v.raw"],
+                 EXIT_IO, "spacing_inf.raw.json", id="voronoi-sidecar-spacing-inf"),
     pytest.param(["eval", "--manifest", "{d}/not_utf8.csv", "--out", "{d}/o"],
-                 EXIT_IO, None, id="eval-manifest-not-utf8"),
+                 EXIT_IO, "not_utf8.csv", id="eval-manifest-not-utf8"),
     pytest.param(["eval", "--manifest", "{d}/huge_field.csv", "--out", "{d}/o"],
-                 EXIT_IO, None, id="eval-manifest-huge-field"),
+                 EXIT_IO, "huge_field.csv", id="eval-manifest-huge-field"),
     pytest.param(["eval", "--manifest", "{d}/ok.csv", "--out", "{d}/o", "--threshold", "0"],
                  EXIT_USAGE, None, id="eval-bad-threshold"),
     pytest.param(["stats", "--masks", "{d}/afile"],

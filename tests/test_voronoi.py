@@ -10,11 +10,14 @@ from lesionwise import (
     Shape,
     Spacing,
     build_phantom,
+    case_metrics,
     label_components,
+    nearest_component,
     random_instances_spec,
     voronoi_partition,
     voronoi_partition_bruteforce,
 )
+import lesionwise.metrics
 from lesionwise.voronoi import _windows
 from oracles import UNIT, mk_mask
 
@@ -116,6 +119,123 @@ def test_fast_equals_bruteforce_on_tie_heavy_masks(mask):
             assert not outside.any(), f"component {cid} wins or ties outside {win}"
 
 
+def _every_voxel(shape):
+    return np.argwhere(np.ones(shape, dtype=bool))
+
+
+# Non-dyadic spacings round the physical squared distances, so geometric ties
+# may or may not survive; the lookup must round them as the oracle does.
+@settings(max_examples=80, deadline=None)
+@given(tie_heavy_masks(), st.sampled_from([None, Spacing(0.9, 0.9, 3.0), Spacing(0.7, 1.3, 2.1)]))
+def test_lookup_equals_bruteforce_at_every_voxel(mask, spacing):
+    if spacing is not None:
+        mask = mk_mask(mask.voxels, spacing)
+    lab = label_components(mask)
+    pts = _every_voxel(mask.voxels.shape)
+    for metric in ("voxel", "physical"):
+        brute = voronoi_partition_bruteforce(lab, metric)
+        assert np.array_equal(nearest_component(lab, pts, metric), brute.region_of[tuple(pts.T)])
+
+
+def _two_sites(shape, a, b, spacing=UNIT):
+    arr = np.zeros(shape, dtype=bool)
+    arr[a] = True
+    arr[b] = True
+    return label_components(mk_mask(arr, spacing))
+
+
+def test_lookup_of_no_points_is_empty():
+    lab = _two_sites((5, 1, 1), (0, 0, 0), (4, 0, 0))
+    for metric in ("voxel", "physical"):
+        out = nearest_component(lab, np.zeros((0, 3), dtype=np.int64), metric)
+        assert out.shape == (0,)
+
+
+def test_lookup_inside_ground_truth_is_own_label():
+    spec = random_instances_spec(Shape(12, 12, 12), DYADIC, 4, 5)
+    _, lab = build_phantom(spec)
+    pts = np.argwhere(lab.labels > 0)
+    assert np.array_equal(nearest_component(lab, pts), lab.labels[tuple(pts.T)])
+
+
+def test_lookup_with_one_component_is_all_ones():
+    arr = np.zeros((6, 5, 4), dtype=bool)
+    arr[2:4, 2, 1] = True
+    lab = label_components(mk_mask(arr))
+    out = nearest_component(lab, _every_voxel(arr.shape), "physical")
+    assert out.tolist() == [1] * arr.size
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 9), (1, 7, 1), (9, 1, 1), (5, 5, 1)])
+def test_lookup_on_axes_of_length_one(shape):
+    arr = np.zeros(shape, dtype=bool)
+    arr.flat[0] = True
+    arr.flat[-1] = True
+    lab = label_components(mk_mask(arr, Spacing(0.9, 0.9, 3.0)))
+    pts = _every_voxel(shape)
+    for metric in ("voxel", "physical"):
+        brute = voronoi_partition_bruteforce(lab, metric).region_of[tuple(pts.T)]
+        assert np.array_equal(nearest_component(lab, pts, metric), brute)
+
+
+def test_lookup_rejects_points_off_the_lattice():
+    lab = _two_sites((5, 1, 1), (0, 0, 0), (4, 0, 0))
+    for bad in ([[5, 0, 0]], [[-1, 0, 0]]):
+        with pytest.raises(ValueError):
+            nearest_component(lab, bad)
+
+
+def test_physical_lookup_doubles_k_on_tree_ties(monkeypatch):
+    import scipy.spatial
+
+    ks = []
+
+    class Recording(scipy.spatial.cKDTree):
+        def query(self, x, k=1, **kw):
+            ks.append(k)
+            return super().query(x, k=k, **kw)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
+    # Component 1 is every voxel of the plane z = 0 at least 5 voxels from
+    # q = (6, 6, 0); its 12 nearest voxels lie exactly 5 voxels away. At 1.1 mm
+    # the offsets (5, 0) and (0, 5) round to 30.25 mm^2 but (3, 4) and (4, 3)
+    # to 30.250000000000007. Component 2, the voxel above q at 5.5 mm, rounds
+    # to 30.25: a tie that component 1 wins only if a (5, 0)-type voxel is
+    # re-scored, wherever the tree ranks it among the 12.
+    n = 13
+    gx, gy = np.indices((n, n))
+    arr = np.zeros((n, n, 2), dtype=bool)
+    arr[..., 0] = (gx - 6) ** 2 + (gy - 6) ** 2 >= 25
+    arr[6, 6, 1] = True
+    lab = label_components(mk_mask(arr, Spacing(1.1, 1.1, 5.5)))
+    assert lab.count == 2
+    q = (6, 6, 0)
+    assert voronoi_partition_bruteforce(lab, "physical").region_of[q] == 1
+    assert nearest_component(lab, [q], "physical").tolist() == [1]
+    assert ks[:3] == [2, 4, 8]
+
+
+def test_case_metrics_does_not_build_the_dense_partition(monkeypatch):
+    rng = np.random.default_rng(8)
+    spec = random_instances_spec(Shape(14, 12, 10), Spacing(0.9, 0.9, 3.0), 4, 21)
+    gt, lab = build_phantom(spec)
+    pred = mk_mask(gt.voxels ^ (rng.random(gt.voxels.shape) < 0.08), gt.spacing)
+    expected = {}
+    for metric in ("voxel", "physical"):
+        region = voronoi_partition_bruteforce(lab, metric).region_of
+        p = pred.voxels
+        inter = np.bincount(lab.labels[p], minlength=lab.count + 1)[1:]
+        in_region = np.bincount(region[p], minlength=lab.count + 1)[1:]
+        expected[metric] = float(np.mean(2.0 * inter / (in_region + lab.volumes_vox)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("case_metrics built the dense partition")
+
+    monkeypatch.setattr(lesionwise.metrics, "voronoi_partition", refuse)
+    for metric in ("voxel", "physical"):
+        assert case_metrics(pred, gt, metric).cc_dice == expected[metric]
+
+
 def test_partition_invariants_hold():
     for seed in (0, 1, 2):
         spec = random_instances_spec(Shape(10, 10, 10), DYADIC, 3, 40 + seed)
@@ -143,6 +263,8 @@ def test_empty_ground_truth_raises():
         voronoi_partition(lab)
     with pytest.raises(EmptyGroundTruthError):
         voronoi_partition_bruteforce(lab)
+    with pytest.raises(EmptyGroundTruthError):
+        nearest_component(lab, [[0, 0, 0]])
 
 
 def test_invalid_metric_rejected():
@@ -151,3 +273,5 @@ def test_invalid_metric_rejected():
     lab = label_components(mk_mask(arr))
     with pytest.raises(ValueError):
         voronoi_partition(lab, "chebyshev")
+    with pytest.raises(ValueError):
+        nearest_component(lab, [[0, 0, 0]], "chebyshev")

@@ -1,10 +1,11 @@
 """Command-line driver: evaluate, compute losses, export maps and stats.
 
-Exit codes: 0 success; 1 usage error (a bad option value, an empty manifest
-or mask directory); 2 an input that cannot be read or parsed, volumes whose
-grids differ, or an output path that cannot be written; 3 some ``eval``
-cases failed, each recorded in the report. Subcommands raise; ``main`` is
-the one error boundary and prints one line ``lesionwise <command>: <message>``.
+Exit codes: 0 success; 1 usage error (a bad option value or
+``LESIONWISE_THREADS``, an empty manifest or mask directory); 2 an input
+that cannot be read or parsed, volumes whose grids differ, or an output path
+that cannot be written; 3 some ``eval`` cases failed, each recorded in the
+report. Subcommands raise; ``main`` is the one error boundary and prints one
+line ``lesionwise <command>: <message>``.
 Reports are fully deterministic: identical inputs and configuration produce
 byte-identical files regardless of the worker-pool size
 (``LESIONWISE_THREADS``).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import json
 import os
@@ -30,7 +32,8 @@ from .io import VolumeFormatError, read_mask, read_volume, write_volume
 from .losses import LossKind, LossWeights, combined_loss, normalize_gradient
 from .metrics import aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
-from .volumes import BinaryMask, LogitVolume, ShapeMismatchError, binarize, sigmoid
+from .volumes import BinaryMask, LogitVolume, ShapeMismatchError, binarize
+from .volumes import sigmoid  # noqa: F401  # lwbench/tracer.py wraps this attribute
 from .voronoi import EmptyGroundTruthError, voronoi_partition
 
 EXIT_OK = 0
@@ -53,11 +56,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _worker_count() -> int:
-    try:
-        n = int(os.environ.get("LESIONWISE_THREADS", "4"))
-    except ValueError:
-        n = 4
-    return max(1, n)
+    raw = os.environ.get("LESIONWISE_THREADS", "4")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"LESIONWISE_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _num(x):
@@ -71,7 +73,7 @@ def _num(x):
 def _load_prediction(path, threshold: float) -> BinaryMask:
     vol = read_volume(path)
     if isinstance(vol, LogitVolume):
-        return binarize(sigmoid(vol), threshold)
+        return binarize(vol, threshold)
     return vol
 
 
@@ -96,6 +98,7 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
 
 
 def cmd_eval(args) -> int:
+    workers = _worker_count()
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
@@ -119,7 +122,7 @@ def cmd_eval(args) -> int:
         return case_metrics(pred, gt, metric=args.distance)
 
     results = []
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_case, row) for row in rows]
         for row, fut in zip(rows, futures):
             try:
@@ -310,9 +313,7 @@ def cmd_voronoi(args) -> int:
     gt = read_mask(args.gt)
     part = voronoi_partition(label_components(gt), args.distance)
     # Region IDs exported as f32; exact for any realistic component count.
-    write_volume(
-        LogitVolume(part.region_of.astype(np.float64), gt.spacing), args.out
-    )
+    write_volume(LogitVolume(part.region_of, gt.spacing), args.out)
     return EXIT_OK
 
 
@@ -370,8 +371,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first ``main`` call so importing stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

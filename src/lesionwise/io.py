@@ -10,8 +10,9 @@ JSON sidecar ``foo.raw.json``::
 
 The binary file holds exactly ``nx * ny * nz`` values with x varying fastest
 (linear index ``x + nx * (y + ny * z)``). ``u8`` volumes load as masks
-(nonzero is foreground), ``f32`` volumes load as logit grids. Write/read
-round trips are bit-exact.
+(nonzero is foreground), ``f32`` volumes load as ``LogitVolume``; the
+writers store a ``BinaryMask`` as u8 and a ``LogitVolume`` as f32, in both
+formats. Write/read round trips are bit-exact.
 
 NIfTI-1
 -------
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volumes import BinaryMask, LogitVolume, ProbVolume, Spacing
+from .volumes import BinaryMask, LogitVolume, Spacing
 
 RAW_DTYPES = {"u8": np.dtype("<u1"), "f32": np.dtype("<f4")}
 
@@ -55,23 +56,27 @@ def _is_nifti_path(path: Path) -> bool:
     return name.endswith(".nii") or name.endswith(".nii.gz")
 
 
+def _stored(vol) -> tuple[str, int, np.ndarray]:
+    """A volume's raw dtype name, NIfTI datatype code and voxels in that dtype."""
+    if isinstance(vol, BinaryMask):
+        dtype_name, datatype = "u8", 2
+    elif isinstance(vol, LogitVolume):
+        dtype_name, datatype = "f32", 16
+    else:
+        raise TypeError(f"cannot write volume of type {type(vol).__name__}")
+    return dtype_name, datatype, vol.voxels.astype(RAW_DTYPES[dtype_name])
+
+
 def write_volume(vol, path) -> None:
     """Write a volume to ``path`` (raw format, or NIfTI if the name ends .nii[.gz]).
 
-    BinaryMask is stored as u8 (0/1), LogitVolume and ProbVolume as f32.
+    BinaryMask is stored as u8 (0/1), LogitVolume as f32.
     """
     path = Path(path)
     if _is_nifti_path(path):
         write_nifti(vol, path)
         return
-    if isinstance(vol, BinaryMask):
-        dtype_name = "u8"
-        data = vol.voxels.astype(np.uint8)
-    elif isinstance(vol, (LogitVolume, ProbVolume)):
-        dtype_name = "f32"
-        data = vol.voxels.astype("<f4")
-    else:
-        raise TypeError(f"cannot write volume of type {type(vol).__name__}")
+    dtype_name, _, data = _stored(vol)
     header = {
         "shape": list(vol.shape.as_tuple()),
         "spacing": list(vol.spacing.as_tuple()),
@@ -264,12 +269,7 @@ def _read_nifti(path: Path, as_mask: bool):
 def write_nifti(vol, path) -> None:
     """Write a minimal single-file little-endian NIfTI-1 volume."""
     path = Path(path)
-    if isinstance(vol, BinaryMask):
-        datatype, data = 2, vol.voxels.astype("u1")
-    elif isinstance(vol, (LogitVolume, ProbVolume)):
-        datatype, data = 16, vol.voxels.astype("<f4")
-    else:
-        raise TypeError(f"cannot write volume of type {type(vol).__name__}")
+    _, datatype, data = _stored(vol)
 
     nx, ny, nz = vol.shape.as_tuple()
     sx, sy, sz = vol.spacing.as_tuple()

@@ -4,6 +4,10 @@ All volumes live on a regular lattice indexed ``(x, y, z)`` with array shape
 ``(nx, ny, nz)``. The canonical scan order is x-fastest: linear index
 ``x + nx * (y + ny * z)``, matching the on-disk layout used by
 :mod:`lesionwise.io`.
+
+``BinaryMask`` holds hard masks and ``LogitVolume``, the one float type,
+logits and other real maps. ``binarize(logits, t)`` keeps ``sigmoid(l) >= t``
+in one call, so probabilities are never stored as a volume.
 """
 
 from __future__ import annotations
@@ -119,24 +123,6 @@ class LogitVolume:
         return Shape(*self.voxels.shape)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbVolume:
-    """Dense real grid of foreground probabilities. Values in [0, 1]."""
-
-    voxels: np.ndarray
-    spacing: Spacing
-
-    def __post_init__(self):
-        arr = _freeze(self.voxels, np.float64)
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("probability volume has values outside [0, 1]")
-        object.__setattr__(self, "voxels", arr)
-
-    @property
-    def shape(self) -> Shape:
-        return Shape(*self.voxels.shape)
-
-
 def require_same_grid(a, b) -> None:
     """Raise ShapeMismatchError unless the two volumes share shape and spacing.
 
@@ -169,21 +155,16 @@ def sigmoid_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, e
 
 
-def stable_sigmoid(logits: np.ndarray) -> np.ndarray:
+def sigmoid(logits: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, overflow-safe for any finite input."""
     return sigmoid_parts(logits)[0]
 
 
-def sigmoid(logits: LogitVolume) -> ProbVolume:
-    """Map a logit volume to probabilities with the logistic function."""
-    return ProbVolume(stable_sigmoid(logits.voxels), logits.spacing)
-
-
-def binarize(probs: ProbVolume, threshold: float = 0.5) -> BinaryMask:
-    """Threshold a probability volume; a voxel is foreground iff p >= threshold.
+def binarize(logits: LogitVolume, threshold: float = 0.5) -> BinaryMask:
+    """Threshold a logit volume; a voxel is foreground iff sigmoid(l) >= threshold.
 
     The threshold must lie strictly inside (0, 1).
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
-    return BinaryMask(probs.voxels >= threshold, probs.spacing)
+    return BinaryMask(sigmoid(logits.voxels) >= threshold, logits.spacing)

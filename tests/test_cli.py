@@ -16,7 +16,8 @@ from lesionwise import (
     read_volume,
     write_volume,
 )
-from lesionwise.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from lesionwise import cli
+from lesionwise.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, main
 from oracles import mk_mask
 
 
@@ -334,6 +335,34 @@ def test_bad_threshold_is_usage_error(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli(["frobnicate"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, threads):
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("a", "b")])
+    monkeypatch.setenv("LESIONWISE_THREADS", threads)
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) \
+        == EXIT_USAGE
+    assert "LESIONWISE_THREADS" in _one_line_error(capsys, "eval")
+    assert not (tmp_path / "o").exists()
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    calls = []
+
+    def counting_build_parser():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(["frobnicate"]) == EXIT_USAGE
+        assert run_cli(["frobnicate"]) == EXIT_USAGE
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
 
 
 def _bad_inputs(d: Path) -> None:

@@ -12,7 +12,6 @@ from lesionwise import (
     figure2_scenario,
     label_components,
     random_instances_spec,
-    sigmoid,
     soft_dice_loss,
     voronoi_partition_bruteforce,
 )
@@ -74,7 +73,7 @@ def test_figure1_geometry_and_loss_band():
     assert int(lab.volumes_vox.sum()) == 113
 
     # the partial prediction saturates exactly the 3 largest instances
-    pred = binarize(sigmoid(sc.pred_partial))
+    pred = binarize(sc.pred_partial)
     pred_lab = label_components(pred)
     assert pred_lab.count == 3
     assert int(pred_lab.volumes_vox.sum()) == 100

@@ -7,14 +7,13 @@ from hypothesis.extra import numpy as npst
 from lesionwise import (
     BinaryMask,
     LogitVolume,
-    ProbVolume,
     Shape,
     Spacing,
     ShapeMismatchError,
     binarize,
     sigmoid,
 )
-from lesionwise.volumes import require_same_grid, stable_sigmoid
+from lesionwise.volumes import require_same_grid
 from oracles import UNIT, mk_logits, mk_mask, two_branch_sigmoid
 
 
@@ -46,7 +45,7 @@ def test_volumes_are_immutable():
 @pytest.mark.parametrize("shape, axis", [((0, 3, 3), "x"), ((3, 0, 3), "y"), ((3, 3, 0), "z")],
                          ids=["x", "y", "z"])
 def test_zero_voxel_lattice_is_rejected(shape, axis):
-    for cls in (BinaryMask, LogitVolume, ProbVolume):
+    for cls in (BinaryMask, LogitVolume):
         with pytest.raises(ValueError, match=f"no voxels along {axis}"):
             cls(np.zeros(shape), UNIT)
 
@@ -58,21 +57,15 @@ def test_logit_volume_rejects_non_finite():
         LogitVolume(arr, UNIT)
 
 
-def test_prob_volume_rejects_out_of_range():
-    arr = np.full((2, 2, 2), 1.5)
-    with pytest.raises(ValueError):
-        ProbVolume(arr, UNIT)
-
-
 def test_sigmoid_at_zero_is_half():
-    p = sigmoid(mk_logits(np.zeros((3, 3, 3))))
-    assert np.all(p.voxels == 0.5)
+    p = sigmoid(np.zeros((3, 3, 3)))
+    assert np.all(p == 0.5)
 
 
 def test_sigmoid_saturation():
     arr = np.full((2, 2, 2), 40.0)
     arr[0, 0, 0] = 0.0
-    p = sigmoid(mk_logits(arr)).voxels
+    p = sigmoid(arr)
     assert p[0, 0, 0] == 0.5
     # sigmoid(40) = 1 - 4.25e-18, which float64 rounds to exactly 1.0
     assert np.all(p.ravel()[1:] >= 1 - 1e-17)
@@ -81,8 +74,8 @@ def test_sigmoid_saturation():
 def test_sigmoid_symmetry():
     rng = np.random.default_rng(0)
     arr = rng.normal(0, 5, size=(4, 4, 4))
-    p = sigmoid(mk_logits(arr)).voxels
-    q = sigmoid(mk_logits(-arr)).voxels
+    p = sigmoid(arr)
+    q = sigmoid(-arr)
     np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=1e-15)
 
 
@@ -100,9 +93,9 @@ def test_sigmoid_symmetry():
     ),
 )
 def test_sigmoid_in_open_unit_interval_and_monotone(arr, bump):
-    p = sigmoid(mk_logits(arr)).voxels
+    p = sigmoid(arr)
     assert np.all(p > 0) and np.all(p < 1)
-    q = sigmoid(mk_logits(arr + bump)).voxels
+    q = sigmoid(arr + bump)
     assert np.all(q >= p)
 
 
@@ -113,7 +106,7 @@ def test_stable_sigmoid_equals_two_branch_formula_bit_for_bit():
     rng = np.random.default_rng(11)
     for arr in (np.array(edges), rng.normal(0, 20, size=(7, 6, 5)),
                 np.asfortranarray(rng.normal(0, 1e-3, size=(4, 5, 6)))):
-        got = stable_sigmoid(arr)
+        got = sigmoid(arr)
         assert got.dtype == np.float64
         assert got.tobytes() == two_branch_sigmoid(arr).tobytes()
 
@@ -131,27 +124,44 @@ def test_same_grid_requires_matching_spacing():
 
 
 def test_binarize_threshold_is_inclusive():
-    p = ProbVolume(np.full((2, 2, 2), 0.5), UNIT)
-    assert binarize(p, 0.5).voxels.all()
-    p49 = ProbVolume(np.full((2, 2, 2), 0.49), UNIT)
-    assert not binarize(p49, 0.5).voxels.any()
+    # sigmoid(0) is exactly 0.5, so l = 0 meets t = 0.5
+    assert binarize(mk_logits(np.zeros((2, 2, 2))), 0.5).voxels.all()
+    below = -1e-9  # outside the dead zone where sigmoid(l) rounds to 0.5
+    assert sigmoid(np.array([below]))[0] < 0.5
+    assert not binarize(mk_logits(np.full((2, 2, 2), below)), 0.5).voxels.any()
 
 
 def test_binarize_checkerboard():
     idx = np.indices((4, 4, 2)).sum(axis=0)
-    probs = np.where(idx % 2 == 0, 0.8, 0.2)
-    out = binarize(ProbVolume(probs, UNIT), 0.5)
+    logits = np.where(idx % 2 == 0, 1.4, -1.4)  # sigmoid: about 0.8 and 0.2
+    out = binarize(mk_logits(logits), 0.5)
     assert np.array_equal(out.voxels, idx % 2 == 0)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
 def test_binarize_rejects_bad_threshold(bad):
-    p = ProbVolume(np.full((1, 1, 1), 0.5), UNIT)
+    l = mk_logits(np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
-        binarize(p, bad)
+        binarize(l, bad)
 
 
-@settings(max_examples=30, deadline=None)
+@st.composite
+def _threshold_and_logits(draw):
+    """A threshold and float32 logits near its logit, with +-0 and subnormals."""
+    t = draw(st.one_of(st.sampled_from([1e-12, 0.5, 1 - 1e-12]),
+                       st.floats(min_value=1e-6, max_value=1 - 1e-6)))
+    centre = np.float32(np.log(t) - np.log1p(-t))
+    near = st.integers(-64, 64).map(lambda k: np.float32(centre + k * np.spacing(centre)))
+    tiny = np.finfo(np.float32).smallest_subnormal
+    special = st.sampled_from([np.float32(v) for v in
+                               (0.0, -0.0, tiny, -tiny, 1e-40, -1e-40,
+                                np.finfo(np.float32).tiny, -np.finfo(np.float32).tiny)])
+    wide = st.floats(min_value=-40, max_value=40, width=32).map(np.float32)
+    arr = draw(npst.arrays(np.float32, (3, 3, 3), elements=st.one_of(near, special, wide)))
+    return t, arr
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     npst.arrays(
         np.float64,
@@ -159,10 +169,14 @@ def test_binarize_rejects_bad_threshold(bad):
         elements=st.floats(min_value=-30, max_value=30).filter(
             lambda v: v == 0.0 or abs(v) > 1e-9
         ),
-    )
+    ),
+    _threshold_and_logits(),
 )
-def test_binarize_sigmoid_equals_sign_test(arr):
+def test_binarize_sigmoid_equals_sign_test(arr, case):
     # |l| above the float dead zone around 0, where sigmoid rounds to 0.5
-    l = mk_logits(arr)
-    out = binarize(sigmoid(l), 0.5)
+    out = binarize(mk_logits(arr), 0.5)
     assert np.array_equal(out.voxels, arr >= 0)
+    # f32 logits near logit(t): the mask is the reference formula's
+    t, l32 = case
+    got = binarize(LogitVolume(l32, UNIT), t).voxels
+    assert np.array_equal(got, two_branch_sigmoid(l32) >= t)

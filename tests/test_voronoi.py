@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +179,17 @@ def test_lookup_on_axes_of_length_one(shape):
     for metric in ("voxel", "physical"):
         brute = voronoi_partition_bruteforce(lab, metric).region_of[tuple(pts.T)]
         assert np.array_equal(nearest_component(lab, pts, metric), brute)
+
+
+def test_importing_the_package_does_not_import_scipy_spatial():
+    # The lookup imports cKDTree lazily; importing scipy.spatial is slow.
+    src = str(Path(lesionwise.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lesionwise; "
+            "print('scipy.spatial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_lookup_rejects_points_off_the_lattice():

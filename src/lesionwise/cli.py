@@ -30,7 +30,7 @@ from .components import label_components
 from .dataset_stats import corpus_stats
 from .io import VolumeFormatError, read_mask, read_volume, write_volume
 from .losses import LossKind, LossWeights, combined_loss, normalize_gradient
-from .metrics import aggregate, case_metrics, quartile_recall
+from .metrics import METRIC_FIELDS, aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
 from .volumes import BinaryMask, LogitVolume, ShapeMismatchError, binarize
 from .volumes import sigmoid  # noqa: F401  # lwbench/tracer.py wraps this attribute
@@ -42,6 +42,10 @@ EXIT_IO = 2
 EXIT_PARTIAL = 3
 
 TIE_POLICY = "lowest-component-id"
+
+# A case's report fields: ``METRIC_FIELDS`` (floats, null when undefined) and
+# these counts, in this order in ``report.json`` and ``cases.csv``.
+COUNT_FIELDS = ("n_gt", "n_pred", "tp", "fp", "fn")
 
 # Exit 2 in ``main`` and a recorded case error in ``eval``; any other
 # ValueError is a usage error, and any other exception a bug with a traceback.
@@ -136,18 +140,8 @@ def cmd_eval(args) -> int:
         rec = {"index": idx, "gt": gt_rel, "pred": pred_rel}
         if err is None:
             rec["status"] = "ok"
-            rec["metrics"] = {
-                "dice": _num(cm.dice),
-                "cc_dice": _num(cm.cc_dice),
-                "precision": _num(cm.precision),
-                "recall": _num(cm.recall),
-                "f1": _num(cm.f1),
-                "n_gt": cm.n_gt,
-                "n_pred": cm.n_pred,
-                "tp": cm.tp,
-                "fp": cm.fp,
-                "fn": cm.fn,
-            }
+            rec["metrics"] = {f: _num(getattr(cm, f)) for f in METRIC_FIELDS}
+            rec["metrics"].update((f, getattr(cm, f)) for f in COUNT_FIELDS)
             ok_metrics.append(cm)
         else:
             rec["status"] = "error"
@@ -195,22 +189,15 @@ def cmd_eval(args) -> int:
 
 
 def _write_cases_csv(path: Path, case_records) -> None:
-    cols = [
-        "index", "gt", "pred", "status",
-        "dice", "cc_dice", "precision", "recall", "f1",
-        "n_gt", "n_pred", "tp", "fp", "fn", "error",
-    ]
+    fields = METRIC_FIELDS + COUNT_FIELDS
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(["index", "gt", "pred", "status", *fields, "error"])
         for rec in case_records:
             m = rec.get("metrics", {})
             writer.writerow(
                 [rec["index"], rec["gt"], rec["pred"], rec["status"]]
-                + [("" if m.get(k) is None else repr(m.get(k))) for k in
-                   ("dice", "cc_dice", "precision", "recall", "f1")]
-                + [("" if m.get(k) is None else m.get(k)) for k in
-                   ("n_gt", "n_pred", "tp", "fp", "fn")]
+                + ["" if m.get(k) is None else repr(m[k]) for k in fields]
                 + [rec.get("error", "")]
             )
 

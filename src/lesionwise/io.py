@@ -18,6 +18,9 @@ NIfTI-1
 -------
 Read support for single-file 3D volumes (``.nii``, optionally gzipped) with
 datatypes uint8, int16 and float32; spacing is taken from ``pixdim[1..3]``.
+Voxel values are read as stored, so a header must not scale them: the
+reader refuses any ``scl_slope``/``scl_inter`` pair other than slope 0 (no
+scaling, per the NIfTI-1 standard) or slope 1 with intercept 0.
 ``write_nifti`` emits a minimal little-endian single-file NIfTI-1 volume and
 exists so phantoms can be exported for external viewers; the raw format is
 the canonical interchange format.
@@ -253,6 +256,13 @@ def _read_nifti(path: Path, as_mask: bool):
             f"{path}: invalid vox_offset {vox_offset} at byte offset 108"
         )
     offset = int(vox_offset)
+
+    slope, inter = struct.unpack_from(endian + "2f", blob, 112)
+    if not (slope == 0 or (slope == 1 and inter == 0)):
+        raise VolumeFormatError(
+            f"{path}: scaled data (scl_slope {slope}, scl_inter {inter} at byte offset 112) "
+            "is not supported"
+        )
 
     dtype = _NIFTI_DTYPES[datatype].newbyteorder(endian)
     expected = nx * ny * nz * dtype.itemsize

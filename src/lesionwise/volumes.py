@@ -144,9 +144,10 @@ def sigmoid_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With e = exp(-|l|), sigmoid(l) is 1 / (1 + e) for l >= 0 and e / (1 + e)
     below, so exp() never overflows. The numerator is max(e, [l >= 0]), as
     e <= 1: a branch-free select, where a masked divide is several times
-    slower on noisy logits.
+    slower on noisy logits. A 0-d array or a numpy scalar gives float64 scalars.
     """
-    e = np.abs(logits, dtype=np.float64)
+    # An explicit out keeps the input's layout and stays an array on 0-d input.
+    e = np.abs(logits, out=np.empty_like(logits, dtype=np.float64), dtype=np.float64)
     np.negative(e, out=e)
     np.exp(e, out=e)
     q = e + 1.0

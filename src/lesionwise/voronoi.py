@@ -4,9 +4,10 @@ A voxel belongs to the region of the ground-truth component that minimizes
 the Euclidean distance to the component's voxel set. Two distance metrics
 are supported:
 
-* ``"voxel"`` (default): plain Euclidean distance on integer voxel indices.
-  Squared distances are compared in exact int64 arithmetic, so tie handling
-  is bit-deterministic.
+* ``"voxel"`` (default): plain Euclidean distance on integer voxel indices,
+  which is the physical metric at spacing (1, 1, 1). Squared distances are
+  sums of integer squares below 2**53, so they are exact in float64 and tie
+  handling is bit-deterministic.
 * ``"physical"``: spacing-scaled Euclidean distance in mm.
 
 Ties are broken toward the lower canonical component ID. The fast path runs
@@ -38,10 +39,11 @@ each rounded term of the expression is monotone in its gap, and every
 component c' has ``d2_c'(v) <= |v - p_c'|^2``. So every minimizer of v sees
 v, the others see a larger value or nothing, and the ascending strict merge
 picks the lowest minimizer, as a full-lattice loop does. There is no margin
-and no fallback. On the physical metric ``UB`` carries a 1e-9 relative
-slack, because scipy's float EDT may return a voxel whose rounded distance
-is a few ulps above the exact minimum; slack can only enlarge a window. A
-window contains the whole bounding box of its component, so its EDT solves
+and no fallback. ``UB`` carries a 1e-9 relative slack, because scipy's float
+EDT may return a voxel whose rounded physical distance is a few ulps above
+the exact minimum; slack can only enlarge a window, and changes none on the
+voxel metric while its integer bounds stay below 10**8. A window contains
+the whole bounding box of its component, so its EDT solves
 the same one-dimensional problems, over the same sites and with the same
 integer coordinate differences, as a full-lattice transform.
 
@@ -72,26 +74,26 @@ its gap and float addition is monotone, so the neighbour is no farther and
 is again nearest. Each step cuts the L1 gap to q by one, and q is not in C,
 so the walk ends at a nearest voxel that is not interior: a boundary voxel.
 
-So one ``scipy.spatial.cKDTree`` per component, over its boundary voxels,
-finds the least ``_site_sq_dist``. On the voxel metric the tree's squared
-distances are float64 sums of integer and half-integer squares, which are
-exact, so its one hit per query is a true minimizer and is re-scored with
-``_site_sq_dist``. On the physical metric the tree's float distances may be
-a few ulps off, so the k nearest are re-scored; if the k-th tree distance
-lies within the ``_PHYS_SLACK`` relative slack of the first, a voxel beyond
-the k-th could still be the minimizer and k doubles for that query. Voxels
-farther than the slack cannot tie after rounding, so there is no margin and
-no fallback. Components are merged in ascending ID with a strict ``<``, as
-in the partition. The cost is one query per component for each query voxel
-outside the ground truth; memory is O(points + boundary voxels) plus one
-bool mask of each component's bounding box, never a lattice-sized array.
+So every component at the least ``_site_sq_dist`` from q reaches it at a
+boundary voxel, and one ``scipy.spatial.cKDTree`` over the boundary voxels
+of all components, each tagged with its ID, answers the lookup. A query
+re-scores its k nearest sites with ``_site_sq_dist``, from k = 2, and k
+doubles while the k-th tree distance lies within the ``_PHYS_SLACK``
+relative slack of the first, as a site beyond could still tie. Voxel-metric
+tree distances are square roots of exact integers, so every tie is found
+(sites the slack adds only raise k); physical ones may be a few ulps off,
+and sites beyond the slack cannot tie after rounding. The lowest ID at the
+least distance wins, as in the partition; there is no margin and no
+fallback. The cost is one query per query voxel outside the ground truth,
+plus one per doubling; memory is O(points + boundary voxels) plus one bool
+mask of each component's bounding box, never a lattice-sized array.
 
 Why two algorithms
 ------------------
 Each wins on the workload it serves. A loss needs every voxel's region: on
-the benchmark's ``train-loss`` pools (seeds 3, 40, 41; 96^3; 2 CPUs; best of
-3) ``nearest_component`` at every voxel took 1.4-6.5 s per subject with 3-13
-lesions and the windowed EDT 0.13-0.27 s, with identical regions, and
+the benchmark's ``train-loss`` pools (seeds 3 and 40; 96^3; 2 CPUs; best of
+3) ``nearest_component`` at every voxel took 1.1-2.4 s per subject with 3-13
+lesions and the windowed EDT 0.16-0.25 s, with identical regions, and
 without ``_windows`` (one full-lattice EDT per component) a 4-subject pool
 took 1.3-1.6 s against 0.44-0.65 s. Evaluation needs regions only at the
 predicted voxels, which the lookup reads without the dense partition.
@@ -145,19 +147,22 @@ def _grids(shape, dtype=np.int64):
     return gx, gy, gz
 
 
+def _scale(metric: str, spacing) -> tuple[float, float, float]:
+    """Per-axis length of one voxel step: the voxel metric is unit spacing."""
+    return (1.0, 1.0, 1.0) if metric == "voxel" else spacing.as_tuple()
+
+
 def _site_sq_dist(dx, dy, dz, metric: str, spacing):
-    """Squared distance from integer axis deltas; int64 for the voxel metric."""
-    if metric == "voxel":
-        return dx * dx + dy * dy + dz * dz
-    sx, sy, sz = spacing.as_tuple()
+    """Float64 squared distance from integer axis deltas, exact on the voxel metric."""
+    sx, sy, sz = _scale(metric, spacing)
     return (dx * sx) ** 2 + (dy * sy) ** 2 + (dz * sz) ** 2
 
 
 # Edge, in voxels, of the cubic blocks on which each window is bounded.
 _BLOCK = 2
-# Relative slack on the physical-metric upper bound: scipy's float EDT picks its
-# nearest voxel by float comparisons, so its rounded distance may sit a few ulps
-# above the exact minimum over the component.
+# Relative slack on float distances: scipy's float EDT and k-d tree pick their
+# nearest voxels by float comparisons, so a rounded physical distance may sit a
+# few ulps off the exact one.
 _PHYS_SLACK = 1.0 + 1e-9
 
 
@@ -190,8 +195,7 @@ def _windows(lab: ComponentLabeling, metric: str) -> list[tuple[slice, slice, sl
         far = [np.maximum(abs(p - l), abs(p - h)) for p, l, h in zip(site, lo, hi)]
         d2 = _block_sq_dist(far, metric, lab.spacing)
         ub = d2 if ub is None else np.minimum(ub, d2, out=ub)
-    if metric == "physical":
-        ub *= _PHYS_SLACK
+    ub *= _PHYS_SLACK
 
     windows = []
     for box in boxes:
@@ -224,19 +228,18 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
     if lab.count == 1:
         return VoronoiPartition(region_of=np.ones(shape, dtype=np.int32), count=1, metric=metric)
 
+    # Integer squares in place: float64 was 4-27% slower, peak 27-40 vs 18-33 B/vox.
     if metric == "voxel":
         dtype = np.int32 if sum((n - 1) ** 2 for n in shape) < 2**31 else np.int64
         best = np.full(shape, np.iinfo(dtype).max, dtype=dtype)
-        sampling = None
     else:
         best = np.full(shape, np.inf)
-        sampling = lab.spacing.as_tuple()
 
     region = np.zeros(shape, dtype=np.int32)
     for cid, win in enumerate(_windows(lab, metric), start=1):
         feat = ndimage.distance_transform_edt(
             lab.labels[win] != cid,
-            sampling=sampling,
+            sampling=_scale(metric, lab.spacing),
             return_distances=False,
             return_indices=True,
         )
@@ -249,7 +252,7 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
             d2 = feat[0]
             d2 += feat[1]
             d2 += feat[2]
-        else:
+        else:  # an in-place float version peaked at 36-49 instead of 31-40 B/vox
             d2 = _site_sq_dist(feat[0], feat[1], feat[2], metric, lab.spacing)
         np.copyto(region[win], cid, where=d2 < best[win])
         np.minimum(best[win], d2, out=best[win])
@@ -286,9 +289,9 @@ def nearest_component(lab: ComponentLabeling, points, metric: str = "voxel") -> 
 
     Equals ``voronoi_partition(lab, metric).region_of`` at ``points``, ties
     included, without building the partition: a ground-truth voxel maps to
-    its own label, every other voxel queries one k-d tree per component over
-    the component's boundary voxels (see "Lookup" in the module docstring
-    for the lemma that makes this exact).
+    its own label, every other voxel queries one k-d tree over the boundary
+    voxels of all components (see "Lookup" in the module docstring for the
+    lemma that makes this exact).
     """
     _check_metric(metric)
     if lab.count < 1:
@@ -305,30 +308,24 @@ def nearest_component(lab: ComponentLabeling, points, metric: str = "voxel") -> 
         return region
     from scipy.spatial import cKDTree  # lazy: importing scipy.spatial is slow
 
-    query = points[outside]
-    if metric == "voxel":
-        scale, best = 1.0, np.full(len(query), np.iinfo(np.int64).max)
-    else:
-        scale, best = np.array(lab.spacing.as_tuple()), np.full(len(query), np.inf)
-    for cid, sites in enumerate(_boundary_sites(lab), start=1):
-        tree = cKDTree(sites * scale)
-        d2 = np.empty_like(best)
-        todo = np.arange(len(query))
-        k = 1 if metric == "voxel" else 2
-        while todo.size:
-            k = min(k, len(sites))
-            dist, idx = tree.query(query[todo] * scale, k=k)
-            dist, idx = dist.reshape(len(todo), k), idx.reshape(len(todo), k)
-            gap = query[todo, None, :] - sites[idx]
-            d2[todo] = _site_sq_dist(gap[..., 0], gap[..., 1], gap[..., 2], metric,
-                                     lab.spacing).min(axis=1)
-            if metric == "voxel" or k == len(sites):
-                break
-            todo = todo[dist[:, -1] <= dist[:, 0] * _PHYS_SLACK]
-            k *= 2
-        closer = d2 < best
-        region[outside[closer]] = cid
-        np.minimum(best, d2, out=best)
+    per_component = _boundary_sites(lab)
+    sites = np.concatenate(per_component)
+    owner = np.repeat(np.arange(1, lab.count + 1, dtype=np.int32),
+                      [len(s) for s in per_component])
+    scale = _scale(metric, lab.spacing)
+    tree = cKDTree(sites * scale)
+    todo, k = outside, 2
+    while todo.size:
+        k = min(k, len(sites))
+        dist, idx = tree.query(points[todo] * scale, k=k)
+        gap = points[todo, None, :] - sites[idx]
+        d2 = _site_sq_dist(gap[..., 0], gap[..., 1], gap[..., 2], metric, lab.spacing)
+        ties = d2 == d2.min(axis=1, keepdims=True)
+        region[todo] = np.where(ties, owner[idx], lab.count + 1).min(axis=1)
+        if k == len(sites):
+            break
+        todo = todo[dist[:, -1] <= dist[:, 0] * _PHYS_SLACK]
+        k *= 2
     return region
 
 

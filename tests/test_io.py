@@ -262,6 +262,25 @@ def test_nifti_bad_vox_offset(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("slope, inter, ok", [
+    (0.0, 0.0, True), (0.0, 7.0, True), (1.0, 0.0, True),
+    (2.0, 1.5, False), (1.0, 1.5, False), (2.0, 0.0, False), (float("nan"), 0.0, False),
+])
+def test_nifti_refuses_scaled_data(tmp_path, slope, inter, ok):
+    data = np.full(8, -1.0, dtype="<f4")
+    blob = bytearray(_nifti_bytes((2, 2, 2), (1, 1, 1), 16, data.tobytes()))
+    struct.pack_into("<2f", blob, 112, slope, inter)
+    path = tmp_path / "scl.nii"
+    path.write_bytes(bytes(blob))
+    if ok:
+        assert np.all(read_volume(path).voxels == -1.0)
+        return
+    for read in (read_volume, read_mask):
+        with pytest.raises(VolumeFormatError, match="byte offset 112") as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+
 def test_nifti_truncated_data(tmp_path):
     data = np.zeros(7, dtype=np.uint8)  # one voxel short
     blob = _nifti_bytes((2, 2, 2), (1, 1, 1), 2, data.tobytes())

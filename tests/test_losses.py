@@ -1,7 +1,5 @@
-import importlib.util
 import math
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,23 +402,17 @@ def test_combined_loss_makes_one_voxel_pass(monkeypatch):
             assert calls["_voxel_pass"] == 1, (kind, sorted(given))
 
 
-def _benchmark_tracer():
-    path = Path(__file__).resolve().parents[1] / "lwbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("lwbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_benchmark_layer_calls_see_each_loss_once(monkeypatch):
-    # the traced benchmark run times the losses by wrapping these attributes
-    for module, attr, _, _ in _benchmark_tracer().LAYER_CALLS:
-        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+def test_benchmark_layer_calls_see_each_loss_once(monkeypatch, benchmark_tracer):
+    # The traced benchmark run times the losses by wrapping these attributes;
+    # tests/test_bench_hooks.py checks that every wrapped attribute resolves.
+    wrapped = [attr for module, attr, _, _ in benchmark_tracer.LAYER_CALLS
+               if module is losses and attr.endswith("_loss")]
+    assert sorted(wrapped) == ["blob_instance_loss", "cc_instance_loss", "dicece_loss"]
 
     gt, lab, logits = _random_case(61, n_components=2)
     part = voronoi_partition(lab)
     calls = Counter()
-    for name in ("dicece_loss", "cc_instance_loss", "blob_instance_loss"):
+    for name in wrapped:
         _count_calls(monkeypatch, losses, name, calls)
     for kind in KINDS:
         calls.clear()

@@ -62,6 +62,13 @@ def test_sigmoid_at_zero_is_half():
     assert np.all(p == 0.5)
 
 
+@pytest.mark.parametrize("x", [np.array(-1e-9), np.float32(3)], ids=["0-d", "scalar"])
+def test_sigmoid_of_a_0d_array_or_scalar(x):
+    p = sigmoid(x)
+    assert np.shape(p) == ()
+    assert p == two_branch_sigmoid(x)
+
+
 def test_sigmoid_saturation():
     arr = np.full((2, 2, 2), 40.0)
     arr[0, 0, 0] = 0.0

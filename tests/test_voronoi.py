@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lesionwise import (
@@ -122,6 +122,13 @@ def test_fast_equals_bruteforce_on_tie_heavy_masks(mask):
             assert not outside.any(), f"component {cid} wins or ties outside {win}"
 
 
+def _many_components(seed):
+    """Twelve well-separated boxes: one k-d tree holds every component's sites."""
+    mask, lab = build_phantom(random_instances_spec(Shape(16, 14, 12), DYADIC, 12, seed))
+    assert lab.count == 12
+    return mask
+
+
 def _every_voxel(shape):
     return np.argwhere(np.ones(shape, dtype=bool))
 
@@ -129,7 +136,11 @@ def _every_voxel(shape):
 # Non-dyadic spacings round the physical squared distances, so geometric ties
 # may or may not survive; the lookup must round them as the oracle does.
 @settings(max_examples=80, deadline=None)
-@given(tie_heavy_masks(), st.sampled_from([None, Spacing(0.9, 0.9, 3.0), Spacing(0.7, 1.3, 2.1)]))
+@given(
+    st.one_of(tie_heavy_masks(), st.integers(0, 2**16).map(_many_components)),
+    st.sampled_from([None, Spacing(0.9, 0.9, 3.0), Spacing(0.7, 1.3, 2.1)]),
+)
+@example(_many_components(3), Spacing(0.7, 1.3, 2.1))
 def test_lookup_equals_bruteforce_at_every_voxel(mask, spacing):
     if spacing is not None:
         mask = mk_mask(mask.voxels, spacing)
@@ -199,7 +210,7 @@ def test_lookup_rejects_points_off_the_lattice():
             nearest_component(lab, bad)
 
 
-def test_physical_lookup_doubles_k_on_tree_ties(monkeypatch):
+def _record_tree_queries(monkeypatch):
     import scipy.spatial
 
     ks = []
@@ -210,6 +221,23 @@ def test_physical_lookup_doubles_k_on_tree_ties(monkeypatch):
             return super().query(x, k=k, **kw)
 
     monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
+    return ks
+
+
+def test_voxel_lookup_finds_a_tie_across_all_components(monkeypatch):
+    ks = _record_tree_queries(monkeypatch)
+    # One single-voxel component at each corner of a 3^3 cube: all eight lie
+    # sqrt(3) from the centre, so the query doubles k until it holds them all.
+    arr = np.zeros((3, 3, 3), dtype=bool)
+    arr[::2, ::2, ::2] = True
+    lab = label_components(mk_mask(arr))
+    assert lab.count == 8
+    assert nearest_component(lab, [(1, 1, 1)], "voxel").tolist() == [1]
+    assert ks == [2, 4, 8]
+
+
+def test_physical_lookup_doubles_k_on_tree_ties(monkeypatch):
+    ks = _record_tree_queries(monkeypatch)
     # Component 1 is every voxel of the plane z = 0 at least 5 voxels from
     # q = (6, 6, 0); its 12 nearest voxels lie exactly 5 voxels away. At 1.1 mm
     # the offsets (5, 0) and (0, 5) round to 30.25 mm^2 but (3, 4) and (4, 3)

@@ -15,13 +15,16 @@ then pasted into a zero lattice. Labeling straight into a strided view of
 the lattice is not equivalent: with a non-contiguous output scipy 1.17.1
 was seen to return a different numbering.
 
-``ComponentLabeling.voxel_lists`` (per-component voxel coordinates) is built
-lazily on first access and cached. Only the brute-force reference
-partition and tests read it; the labeling itself never builds it.
+``ComponentLabeling.voxel_lists`` (per-component voxel coordinates) and
+``foreground_ids`` (the component ID of every foreground voxel) are built
+lazily on first access and cached. Only the brute-force reference partition
+and tests read the lists; the instance losses read the IDs, once per
+labeling rather than once per call. The labeling itself builds neither.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,6 +75,28 @@ class ComponentLabeling:
         for v in lists:
             v.setflags(write=False)
         return tuple(lists)
+
+    @cached_property
+    def foreground_ids(self) -> np.ndarray:
+        """Component ID of every foreground voxel in C order, as ``intp``."""
+        flat = self.labels.ravel()
+        ids = flat[flat != 0].astype(np.intp)
+        ids.setflags(write=False)
+        return ids
+
+    def labels_mask(self, mask: BinaryMask) -> bool:
+        """Whether the foreground is exactly ``mask``'s voxels.
+
+        One lattice comparison; the last mask found to match is remembered
+        (weakly), so a loop that passes one mask object compares once.
+        """
+        seen = self.__dict__.get("_mask")
+        if seen is not None and seen() is mask:
+            return True
+        if self.labels.shape != mask.voxels.shape or not np.array_equal(self.labels != 0, mask.voxels):
+            return False
+        self.__dict__["_mask"] = weakref.ref(mask)
+        return True
 
 
 def _foreground_box(voxels: np.ndarray) -> tuple[slice, ...] | None:

@@ -22,7 +22,31 @@ Internally one pass over the lattice computes the sigmoid, its derivative
 and the voxel CE once per call, and one reduction turns a voxel -> group
 index into per-term Dice and CE values and per-group gradient coefficients.
 ``combined_loss`` builds the pass once and hands it to the global and the
-instance loss.
+instance loss, and checks the gradient for NaN and Inf once.
+
+The pass, the reductions and the gradients write into a workspace of
+lattices held per thread (a ``threading.local``). The next call on the same
+thread reuses it while the logits' shape and memory layout stay the same,
+and replaces it when either changes, so a training loop with a fixed patch
+shape reuses it at every step whatever the ground truth. It holds 57 bytes
+per voxel (six float64 lattices, a bool GT and an intp group index), and it
+stays resident after the call returns, until the thread ends or a call of
+another shape or layout replaces it: one call on a 512^3 volume keeps about
+7.6 GB. A warm call allocates only the gradient it returns, plus a bool
+lattice for its finiteness check and arrays the size of the GT foreground
+or of the component count; with logits not in C order the instance sums
+also take a C-order copy of a lattice, one at a time.
+
+Values that depend on the ground truth alone are cached on its immutable
+objects rather than recounted per call: the group of each GT voxel
+(``ComponentLabeling.foreground_ids``), the component sizes
+(``volumes_vox``) and the Voronoi region sizes
+(``VoronoiPartition.region_sizes``). So ``lab`` must label exactly ``gt``'s
+voxels and ``part`` must put each of ``lab``'s components in its own
+region, as ``label_components`` and ``voronoi_partition`` make them; else
+``ValueError``. Each is checked by one lattice comparison, remembered for
+the last mask or labeling found to match, so a training loop that reuses a
+subject's ``gt``, ``lab`` and ``part`` objects checks once per subject.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -32,7 +56,9 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,49 +107,67 @@ class LossValue:
         self.grad.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class _VoxelPass:
-    """Per-voxel quantities every DiceCE term reads, computed once per call.
+class _Workspace:
+    """The lattices of one loss call, reused by the next call on the thread.
 
-    Every array is laid out like the logits: raw-file masks are x-fastest
+    ``_voxel_pass`` fills it and returns it as the pass. The float and bool
+    lattices are laid out like the logits: raw-file masks are x-fastest
     (Fortran order) while training logits are C order, and elementwise ops
-    on mixed layouts run several times slower.
+    on mixed layouts run several times slower. ``index`` is C order, so the
+    group sums are taken by ``bincount`` in C order whatever the layout and
+    their bits do not depend on it.
     """
 
-    p: np.ndarray  # sigmoid of the clamped logits
-    dpdl: np.ndarray  # p (1 - p)
-    r: np.ndarray  # p - g, the CE residual
-    ce: np.ndarray  # softplus(l) - g l
-    gt: np.ndarray  # bool ground truth
-    buf: np.ndarray  # scratch lattice, reused by every reduction and gradient
+    def __init__(self, like: np.ndarray):
+        self.key = (like.shape, like.strides)
+        self.p, self.dpdl, self.r, self.ce, self.buf, self.grad = (
+            np.empty_like(like) for _ in range(6)
+        )
+        # p = sigmoid of the clamped logits, dpdl = p (1 - p), r = p - g the
+        # CE residual, ce = softplus(l) - g l; buf is scratch for every
+        # reduction and gradient, grad the gradient a loss leaves for
+        # combined_loss.
+        self.gt = np.empty_like(like, dtype=bool)
+        self.index = np.empty(like.shape, dtype=np.intp)  # voxel -> group
 
 
-def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _VoxelPass:
+_LOCAL = threading.local()
+
+
+def _workspace(logits: np.ndarray) -> _Workspace:
+    ws = getattr(_LOCAL, "workspace", None)
+    if ws is None or ws.key != (logits.shape, logits.strides):
+        ws = _LOCAL.workspace = None  # free the old lattices before allocating new ones
+        ws = _LOCAL.workspace = _Workspace(logits)
+    return ws
+
+
+def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _Workspace:
     require_same_grid(logits, gt)
-    lc = np.clip(logits.voxels, -LOGIT_CLAMP, LOGIT_CLAMP)
-    p, e = sigmoid_parts(lc)
-    g = np.empty_like(lc, dtype=bool)
-    np.copyto(g, gt.voxels)
+    ws = _workspace(logits.voxels)
+    lc = np.clip(logits.voxels, -LOGIT_CLAMP, LOGIT_CLAMP, out=ws.r)  # r is set last
+    e = sigmoid_parts(lc, out=(ws.p, ws.buf, ws.dpdl))[1]  # dpdl holds 1 + e until set
+    np.copyto(ws.gt, gt.voxels)
     # softplus(l) = max(l, 0) + log1p(e); on GT voxels softplus(l) - l =
     # softplus(-l), the CE of a positive.
-    ce = np.maximum(lc, 0.0)
-    ce += np.log1p(e, out=e)
-    buf = e  # free from here on
-    ce -= np.multiply(lc, g, out=buf)
-    dpdl = np.subtract(1.0, p)
-    dpdl *= p
-    return _VoxelPass(p=p, dpdl=dpdl, r=np.subtract(p, g), ce=ce, gt=g, buf=buf)
+    np.maximum(lc, 0.0, out=ws.ce)
+    ws.ce += np.log1p(e, out=e)
+    ws.ce -= np.multiply(lc, ws.gt, out=ws.buf)
+    np.subtract(1.0, ws.p, out=ws.dpdl)
+    ws.dpdl *= ws.p
+    np.subtract(ws.p, ws.gt, out=ws.r)
+    return ws
 
 
-def _as_pass(logits: LogitVolume | _VoxelPass, gt: BinaryMask) -> _VoxelPass:
-    return logits if isinstance(logits, _VoxelPass) else _voxel_pass(logits, gt)
+def _as_pass(logits: LogitVolume | _Workspace, gt: BinaryMask) -> _Workspace:
+    return logits if isinstance(logits, _Workspace) else _voxel_pass(logits, gt)
 
 
 @dataclass(frozen=True, eq=False)
 class _Terms:
     """Per-term sums of the DiceCE terms over voxel groups, from one reduction."""
 
-    index: np.ndarray | None
+    index: np.ndarray | None  # the workspace's voxel -> group index
     gt_index: np.ndarray | None  # group of each GT voxel, in C order
     shared: bool
     inter: np.ndarray  # sum of p * g
@@ -136,47 +180,48 @@ class _Terms:
         return w_dice * (1.0 - 2.0 * self.inter / self.denom) + w_ce * (self.ce_sum / self.size)
 
 
-def _reduce(vp: _VoxelPass, index: np.ndarray | None = None, n: int = 1,
-            shared: bool = False) -> _Terms:
+def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
+            part: VoronoiPartition | None = None) -> _Terms:
     """Sum the DiceCE terms of a voxel pass over voxel groups.
 
-    ``index`` None is one term over the whole lattice. Otherwise ``index``
-    maps each voxel to a group 0..n: group k >= 1 belongs to term k, and
-    group 0 belongs to no term or, when ``shared``, to every term. A shared
+    With no ``lab`` there is one term over the whole lattice. Otherwise each
+    voxel falls in a group 0..count, and group k >= 1 belongs to term k: the
+    groups are ``part``'s Voronoi regions, or without ``part`` the
+    components, with group 0, the background, shared by every term. A shared
     term spans the whole lattice: the other terms' voxels are masked to
     p = g = 0 and count in the CE mean only.
 
-    Off the GT p * g is exactly 0 and g is 0/1, so ``inter`` and the sum of
-    g are summed over the GT voxels only, in the same order and to the same
-    bits as over the whole group.
+    Off the GT p * g is exactly 0 and g is 0/1, so ``inter`` is summed over
+    the GT voxels only, in the same order and to the same bits as over the
+    whole group, and the sums of g are the component sizes. A GT voxel's
+    group is its own component, as a component owns its voxels' regions.
     """
-    if index is None:
+    if lab is None:
         inter = np.sum(np.multiply(vp.p, vp.gt, out=vp.buf))
         psum, ce_sum = np.sum(vp.p), np.sum(vp.ce)
         gsum = float(np.count_nonzero(vp.gt))
-        return _Terms(None, None, shared, np.array([inter]), np.array([psum + gsum]),
+        return _Terms(None, None, False, np.array([inter]), np.array([psum + gsum]),
                       np.array([ce_sum]), np.array([float(vp.p.size)]))
-    # bincount and take index in intp: cast once here, not in every call
-    index = index.astype(np.intp)
-    flat, on_gt = index.ravel(), vp.gt.ravel()
-    gt_index = flat[on_gt]
-    inter = np.bincount(gt_index, weights=vp.p.ravel()[on_gt], minlength=n + 1)
-    gsum = np.bincount(gt_index, minlength=n + 1).astype(np.float64)
+    n, shared = lab.count, part is None
+    np.copyto(vp.index, lab.labels if shared else part.region_of)
+    flat, gt_index = vp.index.ravel(), lab.foreground_ids
+    inter = np.bincount(gt_index, weights=vp.p[vp.gt], minlength=n + 1)
     psum = np.bincount(flat, weights=vp.p.ravel(), minlength=n + 1)
     ce_sum = np.bincount(flat, weights=vp.ce.ravel(), minlength=n + 1)
-    sums = (inter, psum, gsum, ce_sum)
+    sums = (inter, psum, ce_sum)
     if shared:
-        inter, psum, gsum, ce_sum = (s[1:] + s[0] for s in sums)
-        size = np.full(n, float(index.size))
+        inter, psum, ce_sum = (s[1:] + s[0] for s in sums)
+        size = np.full(n, float(flat.size))
     else:
-        inter, psum, gsum, ce_sum = (s[1:] for s in sums)
-        size = np.bincount(flat, minlength=n + 1)[1:].astype(np.float64)
-    return _Terms(index, gt_index, shared, inter, psum + gsum, ce_sum, size)
+        inter, psum, ce_sum = (s[1:] for s in sums)
+        size = part.region_sizes().astype(np.float64)
+    gsum = lab.volumes_vox.astype(np.float64)
+    return _Terms(vp.index, gt_index, shared, inter, psum + gsum, ce_sum, size)
 
 
-def _grad(vp: _VoxelPass, t: _Terms, w_dice: float, w_ce: float,
-          term_weights: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum_k term_weights[k] * (w_dice * dice_k + w_ce * ce_k)``.
+def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
+          term_weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum_k term_weights[k] * (w_dice * dice_k + w_ce * ce_k)``, into ``out``.
 
     On the voxels of term k, d dice_k/dp = -2 (g denom_k - inter_k) / denom_k^2,
     split as g * a_k + b_k so that a shared group can sum its terms' b_k, and
@@ -190,35 +235,58 @@ def _grad(vp: _VoxelPass, t: _Terms, w_dice: float, w_ce: float,
     # (g a + b) p' + (p - g) c, with g a + b taken per group on and off the GT
     if t.index is None:
         a, b, c = float(a[0]), float(b[0]), float(c[0])
-        grad = np.where(vp.gt, a + b, 0.0 * a + b)
-        grad *= vp.dpdl
-        grad += np.multiply(vp.r, c, out=vp.buf)
-        return grad
+        np.copyto(out, 0.0 * a + b)
+        np.copyto(out, a + b, where=vp.gt)
+        out *= vp.dpdl
+        out += np.multiply(vp.r, c, out=vp.buf)
+        return out
 
     def per_group(x):
         # Group 0 carries the sum of every term's coefficients when shared.
         return np.concatenate(([x.sum() if t.shared else 0.0], x))
 
     a, b, c = per_group(a), per_group(b), per_group(c)
-    grad = np.take(0.0 * a + b, t.index, mode="clip")
-    grad[vp.gt] = (a + b)[t.gt_index]
-    grad *= vp.dpdl
+    np.take(0.0 * a + b, t.index, out=out, mode="clip")
+    out[vp.gt] = (a + b)[t.gt_index]
+    out *= vp.dpdl
     ce_grad = np.take(c, t.index, out=vp.buf, mode="clip")
     ce_grad *= vp.r
-    grad += ce_grad
-    return grad
+    out += ce_grad
+    return out
+
+
+class _Unchecked(NamedTuple):
+    """A loss taken on a pass: its gradient is the workspace's ``grad``
+    lattice, overwritten by the next loss on the thread, and not yet checked."""
+
+    scalar: float
+    grad: np.ndarray
+
+
+def _value(logits, vp, scalar, t, w_dice, w_ce, term_weights) -> LossValue | _Unchecked:
+    """A checked ``LossValue`` with a fresh gradient, or, when ``logits`` is
+    already a pass (``combined_loss``'s path), an ``_Unchecked`` that the
+    caller weighs, sums and checks once."""
+    if logits is vp:
+        return _Unchecked(scalar, _grad(vp, t, w_dice, w_ce, term_weights, vp.grad))
+    return LossValue(scalar, _grad(vp, t, w_dice, w_ce, term_weights, np.empty_like(vp.p)))
 
 
 def dicece_loss(
-    logits: LogitVolume | _VoxelPass,
+    logits: LogitVolume | _Workspace,
     gt: BinaryMask,
     w_dice: float = 1.0,
     w_ce: float = 1.0,
 ) -> LossValue:
-    """Weighted sum of soft Dice and cross-entropy over the whole lattice."""
+    """Weighted sum of soft Dice and cross-entropy over the whole lattice.
+
+    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
+    the thread ends or a call of another shape or memory layout replaces it
+    (see the module docstring).
+    """
     vp = _as_pass(logits, gt)
     t = _reduce(vp)
-    return LossValue(float(t.values(w_dice, w_ce)[0]), _grad(vp, t, w_dice, w_ce, np.ones(1)))
+    return _value(logits, vp, float(t.values(w_dice, w_ce)[0]), t, w_dice, w_ce, np.ones(1))
 
 
 def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
@@ -234,6 +302,11 @@ def cross_entropy_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
 def _check_instance_inputs(gt, lab):
     if lab.labels.shape != gt.voxels.shape:
         raise ValueError("component labeling shape does not match the volume")
+    if not lab.labels_mask(gt):
+        raise ValueError(
+            "component labeling covers other voxels than the ground truth; "
+            "label this ground truth"
+        )
     if lab.count < 1:
         raise EmptyGroundTruthError(
             "instance loss needs at least one ground-truth component"
@@ -242,22 +315,23 @@ def _check_instance_inputs(gt, lab):
 
 def _cc_terms(logits, gt, lab, part):
     _check_instance_inputs(gt, lab)
-    if part.region_of.shape != gt.voxels.shape or part.count != lab.count:
+    if (part.region_of.shape != gt.voxels.shape or part.count != lab.count
+            or not part.partitions(lab)):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
-    return vp, _reduce(vp, part.region_of, lab.count)
+    return vp, _reduce(vp, lab, part)
 
 
 def _blob_terms(logits, gt, lab):
     _check_instance_inputs(gt, lab)
     vp = _as_pass(logits, gt)
-    return vp, _reduce(vp, lab.labels, lab.count, shared=True)
+    return vp, _reduce(vp, lab)
 
 
-def _mean_of_terms(vp, t, w_dice, w_ce) -> LossValue:
+def _mean_of_terms(logits, vp, t, w_dice, w_ce) -> LossValue | _Unchecked:
     n = t.inter.size
     scalar = float(np.sum(t.values(w_dice, w_ce))) / n
-    return LossValue(scalar, _grad(vp, t, w_dice, w_ce, np.full(n, 1.0 / n)))
+    return _value(logits, vp, scalar, t, w_dice, w_ce, np.full(n, 1.0 / n))
 
 
 def _each_term(vp, t, w_dice, w_ce) -> list[LossValue]:
@@ -266,12 +340,13 @@ def _each_term(vp, t, w_dice, w_ce) -> list[LossValue]:
     for k in range(values.size):
         only_k = np.zeros(values.size)
         only_k[k] = 1.0
-        terms.append(LossValue(float(values[k]), _grad(vp, t, w_dice, w_ce, only_k)))
+        grad = _grad(vp, t, w_dice, w_ce, only_k, np.empty_like(vp.p))
+        terms.append(LossValue(float(values[k]), grad))
     return terms
 
 
 def cc_instance_loss(
-    logits: LogitVolume | _VoxelPass,
+    logits: LogitVolume | _Workspace,
     gt: BinaryMask,
     lab: ComponentLabeling,
     part: VoronoiPartition,
@@ -283,8 +358,12 @@ def cc_instance_loss(
 
     Regions are disjoint, so each voxel receives exactly one component's
     gradient scaled by 1/count.
+
+    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
+    the thread ends or a call of another shape or memory layout replaces it
+    (see the module docstring).
     """
-    return _mean_of_terms(*_cc_terms(logits, gt, lab, part), w_dice, w_ce)
+    return _mean_of_terms(logits, *_cc_terms(logits, gt, lab, part), w_dice, w_ce)
 
 
 def cc_instance_terms(
@@ -304,7 +383,7 @@ def cc_instance_terms(
 
 
 def blob_instance_loss(
-    logits: LogitVolume | _VoxelPass,
+    logits: LogitVolume | _Workspace,
     gt: BinaryMask,
     lab: ComponentLabeling,
     w_dice: float = 1.0,
@@ -316,8 +395,12 @@ def blob_instance_loss(
 
     Masked voxels contribute zero gradient; a background voxel accumulates
     gradient from every component's term.
+
+    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
+    the thread ends or a call of another shape or memory layout replaces it
+    (see the module docstring).
     """
-    return _mean_of_terms(*_blob_terms(logits, gt, lab), w_dice, w_ce)
+    return _mean_of_terms(logits, *_blob_terms(logits, gt, lab), w_dice, w_ce)
 
 
 def blob_instance_terms(
@@ -348,16 +431,23 @@ def combined_loss(
     """Global DiceCE plus the selected instance term, weighted 1:1 by default.
 
     ``lab`` and ``part`` may be supplied to reuse precomputed structures;
-    they must derive from ``gt``. With no ground-truth components there is
-    no instance term and the value is the global term.
+    they must derive from ``gt`` (a ``lab`` of other voxels, or a ``part``
+    of another labeling, raises ``ValueError``). With no ground-truth
+    components there is no instance term and the value is the global term.
+
+    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
+    the thread ends or a call of another shape or memory layout replaces it
+    (see the module docstring).
     """
     kind = LossKind(kind)
     weights = weights or LossWeights()
     vp = _voxel_pass(logits, gt)
 
+    # Given the pass, each loss leaves its gradient in the workspace; this
+    # product is the one lattice the call allocates, checked once on return.
     g = dicece_loss(vp, gt, weights.w_dice, weights.w_ce)
     scalar = weights.w_global * g.scalar
-    grad = weights.w_global * g.grad
+    grad = np.multiply(g.grad, weights.w_global)
     if kind is LossKind.DICECE:
         return LossValue(scalar, grad)
 
@@ -372,7 +462,7 @@ def combined_loss(
         inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
     else:
         inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
-    grad += np.multiply(inst.grad, weights.w_instance, out=vp.buf)
+    grad += np.multiply(inst.grad, weights.w_instance, out=inst.grad)
     return LossValue(scalar + weights.w_instance * inst.scalar, grad)
 
 

@@ -138,20 +138,30 @@ def require_same_grid(a, b) -> None:
         raise ShapeMismatchError(f"volume spacings differ: {sa} vs {sb}")
 
 
-def sigmoid_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sigmoid_parts(
+    logits: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """``(sigmoid(l), exp(-|l|))`` as float64, overflow-safe for finite ``l``.
 
     With e = exp(-|l|), sigmoid(l) is 1 / (1 + e) for l >= 0 and e / (1 + e)
     below, so exp() never overflows. The numerator is max(e, [l >= 0]), as
     e <= 1: a branch-free select, where a masked divide is several times
-    slower on noisy logits. A 0-d array or a numpy scalar gives float64 scalars.
+    slower on noisy logits. A 0-d array or a numpy scalar gives 0-d arrays.
+
+    ``out = (p, e, q)``, three float64 arrays shaped like ``logits``, receive
+    the two results and the denominator 1 + e, so nothing is allocated;
+    without it all three are allocated in the input's layout.
     """
-    # An explicit out keeps the input's layout and stays an array on 0-d input.
-    e = np.abs(logits, out=np.empty_like(logits, dtype=np.float64), dtype=np.float64)
+    if out is None:
+        out = tuple(np.empty_like(logits, dtype=np.float64) for _ in range(3))
+    p, e, q = out
+    np.abs(logits, out=e, dtype=np.float64)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    q = e + 1.0
-    p = np.maximum(e, logits >= 0)
+    np.add(e, 1.0, out=q)
+    np.greater_equal(logits, 0, out=p)
+    np.maximum(e, p, out=p)
     p /= q
     return p, e
 

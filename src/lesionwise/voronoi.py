@@ -101,7 +101,9 @@ predicted voxels, which the lookup reads without the dense partition.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -131,7 +133,30 @@ class VoronoiPartition:
         self.region_of.setflags(write=False)
 
     def region_sizes(self) -> np.ndarray:
-        return np.bincount(self.region_of.ravel(), minlength=self.count + 1)[1:]
+        """Voxels in each region, counted once per partition (read-only)."""
+        return self._region_sizes
+
+    @cached_property
+    def _region_sizes(self) -> np.ndarray:
+        sizes = np.bincount(self.region_of.ravel(), minlength=self.count + 1)[1:]
+        sizes.setflags(write=False)
+        return sizes
+
+    def partitions(self, lab: ComponentLabeling) -> bool:
+        """Whether each of ``lab``'s components lies in its own region, as
+        it does in ``voronoi_partition(lab)``.
+
+        One lattice pass; the last labeling found to match is remembered
+        (weakly), so a loop that passes one labeling object checks once.
+        """
+        seen = self.__dict__.get("_lab")
+        if seen is not None and seen() is lab:
+            return True
+        if self.region_of.shape != lab.labels.shape or not np.array_equal(
+                self.region_of[lab.labels != 0], lab.foreground_ids):
+            return False
+        self.__dict__["_lab"] = weakref.ref(lab)
+        return True
 
 
 def _check_metric(metric: str) -> None:

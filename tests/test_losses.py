@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -439,3 +442,198 @@ def test_combined_gradients_on_edge_lattices(name):
         _assert_fd(
             lambda a: combined_loss(kind, mk_logits(a), gt).scalar, lv.grad, logits
         )
+
+
+# ---------------------------------------------------------------------------
+# the per-thread workspace and the GT values cached on the labeling
+# ---------------------------------------------------------------------------
+
+def _reuse_cases():
+    """Cases on two lattice shapes, each with C- and F-order logits."""
+    cases = []
+    for seed, shape in ((70, (7, 6, 5)), (71, (6, 8, 4))):
+        gt, lab, logits = _random_case(seed, shape=shape, n_components=3)
+        part = voronoi_partition(lab)
+        for order in "CF":
+            lv = mk_logits(np.asarray(logits.voxels, order=order))
+            for kind, weights in (("dicece", None), ("cc-dicece", LossWeights(0.7, 1.9, 0.3, 1.3)),
+                                  ("blob-dicece", None)):
+                cases.append((kind, lv, gt, weights, lab, part))
+    return cases
+
+
+def _digest(lv):
+    return float(lv.scalar).hex(), lv.grad.tobytes()
+
+
+def _run(case):
+    kind, logits, gt, weights, lab, part = case
+    return _digest(combined_loss(kind, logits, gt, weights, lab=lab, part=part))
+
+
+def _in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, whose first loss call builds a new workspace."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn(*args)))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_workspace_reuse_is_invisible_across_calls_shapes_and_layouts():
+    cases = _reuse_cases()
+    want = [_in_fresh_thread(_run, c) for c in cases]
+    # repeated, then interleaved shapes and layouts in one thread
+    order = [i for i in range(len(cases)) for _ in range(2)] + list(range(len(cases)))[::-1]
+    for i in order:
+        assert _run(cases[i]) == want[i], i
+
+
+def test_held_gradient_survives_later_calls():
+    cases = _reuse_cases()
+    held = [combined_loss(k, lv, gt, w, lab=lab, part=part) for k, lv, gt, w, lab, part in cases]
+    held_bytes = [_digest(v) for v in held]
+    for k, lv, gt, w, lab, part in cases[::-1]:
+        combined_loss(k, lv, gt, w, lab=lab, part=part)
+    gt, lab, logits = _random_case(72, shape=(7, 6, 5), n_components=2)
+    part = voronoi_partition(lab)
+    public = [dicece_loss(logits, gt), cc_instance_loss(logits, gt, lab, part),
+              blob_instance_loss(logits, gt, lab), *cc_instance_terms(logits, gt, lab, part)]
+    public_bytes = [_digest(v) for v in public]
+    for k, lv, gt2, w, lab2, part2 in cases:
+        combined_loss(k, lv, gt2, w, lab=lab2, part=part2)
+    for v, b in zip(held + public, held_bytes + public_bytes):
+        assert not v.grad.flags.writeable
+        assert _digest(v) == b
+
+
+def test_threads_computing_at_once_match_a_fresh_thread():
+    # One shape and layout, so a workspace shared between threads would be
+    # written by several calls at once; each thread has its own logits.
+    shape = (16, 14, 12)
+    spec = random_instances_spec(Shape(*shape), UNIT, 3, 77)
+    gt, lab = build_phantom(spec)
+    part = voronoi_partition(lab)
+    n_threads, rounds = 4, 5  # more threads than cores on a 2-CPU machine
+    rng = np.random.default_rng(78)
+    cases = [(kind, mk_logits(rng.normal(0.0, 2.0, size=shape)), gt, None, lab, part)
+             for _ in range(n_threads) for kind in KINDS]
+    want = [_in_fresh_thread(_run, c) for c in cases]
+    barrier = threading.Barrier(n_threads)
+    got = [[] for _ in range(n_threads)]
+
+    def worker(w):
+        barrier.wait(timeout=30)
+        mine = range(w * len(KINDS), (w + 1) * len(KINDS))
+        for _ in range(rounds):
+            got[w].extend((i, _run(cases[i])) for i in mine)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(len(g) for g in got) == rounds * len(cases)
+    for g in got:
+        for i, d in g:
+            assert d == want[i], i
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _mid_size_case():
+    shape = (48, 40, 32)
+    spec = random_instances_spec(Shape(*shape), UNIT, 6, 73)
+    gt, lab = build_phantom(spec)
+    arr = np.random.default_rng(74).normal(-2.0, 3.0, size=shape)
+    return gt, lab, voronoi_partition(lab), mk_logits(arr), mk_logits(np.asfortranarray(arr))
+
+
+def test_warm_call_allocates_only_the_gradient():
+    gt, lab, part, c_logits, f_logits = _mid_size_case()
+    for kind in KINDS:
+        for logits in (c_logits, f_logits):
+            combined_loss(kind, logits, gt, lab=lab, part=part)  # builds the workspace
+            peak = _traced_peak(lambda: combined_loss(kind, logits, gt, lab=lab, part=part))
+            assert peak <= 17 * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
+
+
+def test_new_layout_frees_the_old_workspace_first():
+    # The replaced workspace (57 B/vox) must be gone before the new one is
+    # allocated, so a layout switch peaks at one workspace plus a warm call.
+    gt, lab, part, c_logits, f_logits = _mid_size_case()
+    for kind in KINDS:
+        for first, second in ((c_logits, f_logits), (f_logits, c_logits)):
+            tracemalloc.start()  # so that the old workspace is traced too
+            try:
+                combined_loss(kind, first, gt, lab=lab, part=part)
+                tracemalloc.reset_peak()
+                combined_loss(kind, second, gt, lab=lab, part=part)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (57 + 17) * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
+
+
+def test_labeling_or_partition_of_other_voxels_rejected():
+    vox = np.zeros((9, 9, 3), dtype=bool)
+    vox[1, 1, 1] = vox[7, 7, 1] = True
+    gt = mk_mask(vox)
+    logits = mk_logits(np.random.default_rng(75).normal(0.0, 2.0, size=vox.shape))
+    moved = vox.copy()  # one lesion moved by a voxel: the same voxel count
+    moved[7, 7, 1], moved[7, 6, 1] = False, True
+    grown = vox.copy()
+    grown[7, 6, 1] = True
+    for other in (moved, grown):
+        wrong = label_components(mk_mask(other))
+        part = voronoi_partition(wrong)
+        with pytest.raises(ValueError, match="covers"):
+            cc_instance_loss(logits, gt, wrong, part)
+        with pytest.raises(ValueError, match="covers"):
+            blob_instance_loss(logits, gt, wrong)
+        for kind in ("cc-dicece", "blob-dicece"):
+            with pytest.raises(ValueError, match="covers"):
+                combined_loss(kind, logits, gt, lab=wrong, part=part)
+
+    # the partition of the same mask with the two IDs swapped
+    lab = label_components(gt)
+    swapped = _permuted(lab, voronoi_partition(lab), [1, 0])[1]
+    with pytest.raises(ValueError, match="partition does not match"):
+        combined_loss("cc-dicece", logits, gt, lab=lab, part=swapped)
+
+    # equal objects built separately are accepted, and give the same bits
+    lab2 = label_components(mk_mask(vox.copy()))
+    part2 = voronoi_partition(lab2)
+    want = _digest(combined_loss("cc-dicece", logits, gt, lab=lab, part=voronoi_partition(lab)))
+    assert _digest(combined_loss("cc-dicece", logits, gt, lab=lab2, part=part2)) == want
+
+
+def test_non_finite_loss_raises():
+    # weights near the float64 maximum overflow the scalar or the gradient
+    gt, lab, logits = _random_case(76, n_components=2)
+    part = voronoi_partition(lab)
+    big = 1.7e308
+    calls = [
+        lambda: dicece_loss(logits, gt, w_dice=big),
+        lambda: cc_instance_loss(logits, gt, lab, part, w_dice=big),
+        lambda: blob_instance_loss(logits, gt, lab, w_dice=big),
+        lambda: combined_loss("cc-dicece", logits, gt, LossWeights(w_dice=big), lab=lab, part=part),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite|NaN or Inf"):
+                call()

@@ -13,7 +13,7 @@ from lesionwise import (
     binarize,
     sigmoid,
 )
-from lesionwise.volumes import require_same_grid
+from lesionwise.volumes import require_same_grid, sigmoid_parts
 from oracles import UNIT, mk_logits, mk_mask, two_branch_sigmoid
 
 
@@ -116,6 +116,18 @@ def test_stable_sigmoid_equals_two_branch_formula_bit_for_bit():
         got = sigmoid(arr)
         assert got.dtype == np.float64
         assert got.tobytes() == two_branch_sigmoid(arr).tobytes()
+
+
+def test_sigmoid_parts_into_given_arrays_equals_allocating_call():
+    rng = np.random.default_rng(12)
+    arr = rng.normal(0, 20, size=(7, 6, 5))
+    for logits in (arr, np.asfortranarray(arr), arr.astype(np.float32)):
+        p, e = sigmoid_parts(logits)
+        out = tuple(np.empty(logits.shape) for _ in range(3))
+        p2, e2 = sigmoid_parts(logits, out=out)
+        assert p2 is out[0] and e2 is out[1]
+        assert p2.tobytes() == p.tobytes() and e2.tobytes() == e.tobytes()
+        np.testing.assert_array_equal(out[2], e + 1.0)
 
 
 def test_same_grid_requires_matching_spacing():

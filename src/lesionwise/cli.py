@@ -83,19 +83,17 @@ def _load_prediction(path, threshold: float) -> BinaryMask:
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
     try:  # not UTF-8, or a field over csv's size limit
-        reader = csv.DictReader(_io.StringIO(path.read_text(encoding="utf-8")))
-        records = list(reader)
+        records = list(csv.reader(_io.StringIO(path.read_text(encoding="utf-8"))))
     except (UnicodeError, csv.Error) as exc:
         raise VolumeFormatError(f"manifest {path}: {exc}") from exc
-    fields = [f.strip() for f in (reader.fieldnames or [])]
-    if fields[:2] != ["gt", "pred"]:
+    header = records[0] if records else None
+    if [f.strip() for f in header or []][:2] != ["gt", "pred"]:
         raise VolumeFormatError(
-            f"manifest {path} must start with header 'gt,pred', got {reader.fieldnames}"
+            f"manifest {path} must start with header 'gt,pred', got {header}"
         )
     rows = []
-    for row in records:
-        gt = (row.get("gt") or "").strip()
-        pred = (row.get("pred") or "").strip()
+    for rec in records[1:]:  # gt and pred are the first two columns, as the header says
+        gt, pred = (f.strip() for f in (rec + ["", ""])[:2])
         if gt and pred:
             rows.append((gt, pred))
     return rows

@@ -15,16 +15,18 @@ then pasted into a zero lattice. Labeling straight into a strided view of
 the lattice is not equivalent: with a non-contiguous output scipy 1.17.1
 was seen to return a different numbering.
 
-``ComponentLabeling.voxel_lists`` (per-component voxel coordinates) and
-``foreground_ids`` (the component ID of every foreground voxel) are built
-lazily on first access and cached. Only the brute-force reference partition
-and tests read the lists; the instance losses read the IDs, once per
-labeling rather than once per call. The labeling itself builds neither.
+``ComponentLabeling.voxel_lists`` (per-component voxel coordinates),
+``foreground_coords`` (the coordinates of every foreground voxel, in C
+order) and ``foreground_ids`` (their component IDs) are built lazily on
+first access and cached; they are pure functions of the labels, and the
+labeling remembers nothing else. Only the brute-force reference partition
+and tests read the lists; the instance losses read the coordinates and IDs,
+once per labeling rather than once per call. The labeling itself builds
+none of them, and evaluation never reads them.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,26 +79,19 @@ class ComponentLabeling:
         return tuple(lists)
 
     @cached_property
+    def foreground_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, y, z) ``intp`` coordinates of every foreground voxel, in C order."""
+        coords = np.nonzero(self.labels)
+        for c in coords:
+            c.setflags(write=False)
+        return coords
+
+    @cached_property
     def foreground_ids(self) -> np.ndarray:
         """Component ID of every foreground voxel in C order, as ``intp``."""
-        flat = self.labels.ravel()
-        ids = flat[flat != 0].astype(np.intp)
+        ids = self.labels[self.foreground_coords].astype(np.intp)
         ids.setflags(write=False)
         return ids
-
-    def labels_mask(self, mask: BinaryMask) -> bool:
-        """Whether the foreground is exactly ``mask``'s voxels.
-
-        One lattice comparison; the last mask found to match is remembered
-        (weakly), so a loop that passes one mask object compares once.
-        """
-        seen = self.__dict__.get("_mask")
-        if seen is not None and seen() is mask:
-            return True
-        if self.labels.shape != mask.voxels.shape or not np.array_equal(self.labels != 0, mask.voxels):
-            return False
-        self.__dict__["_mask"] = weakref.ref(mask)
-        return True
 
 
 def _foreground_box(voxels: np.ndarray) -> tuple[slice, ...] | None:

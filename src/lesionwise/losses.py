@@ -38,15 +38,17 @@ or of the component count; with logits not in C order the instance sums
 also take a C-order copy of a lattice, one at a time.
 
 Values that depend on the ground truth alone are cached on its immutable
-objects rather than recounted per call: the group of each GT voxel
-(``ComponentLabeling.foreground_ids``), the component sizes
-(``volumes_vox``) and the Voronoi region sizes
-(``VoronoiPartition.region_sizes``). So ``lab`` must label exactly ``gt``'s
-voxels and ``part`` must put each of ``lab``'s components in its own
-region, as ``label_components`` and ``voronoi_partition`` make them; else
-``ValueError``. Each is checked by one lattice comparison, remembered for
-the last mask or labeling found to match, so a training loop that reuses a
-subject's ``gt``, ``lab`` and ``part`` objects checks once per subject.
+objects rather than recounted per call: the coordinates and group of each
+GT voxel (``ComponentLabeling.foreground_coords`` and ``foreground_ids``),
+the component sizes (``volumes_vox``) and the Voronoi region sizes
+(``VoronoiPartition.region_sizes``). The instance sums gather p at those
+coordinates and the gradients scatter there. So ``lab`` must label exactly
+``gt``'s voxels and ``part`` must put each of ``lab``'s components in its
+own region, as ``label_components`` and ``voronoi_partition`` make them;
+else ``ValueError``. Every instance-loss call checks both, in time
+proportional to the GT voxels (one ``count_nonzero`` of the mask and
+gathers at the cached coordinates), and remembers nothing: a mismatch
+raises on every call, whatever earlier calls passed.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -64,7 +66,7 @@ import numpy as np
 
 from .components import ComponentLabeling, label_components
 from .volumes import BinaryMask, LogitVolume, require_same_grid, sigmoid_parts
-from .voronoi import EmptyGroundTruthError, VoronoiPartition, voronoi_partition
+from .voronoi import EmptyGroundTruthError, VoronoiPartition, _check_metric, voronoi_partition
 
 LOGIT_CLAMP = 40.0
 
@@ -168,7 +170,8 @@ class _Terms:
     """Per-term sums of the DiceCE terms over voxel groups, from one reduction."""
 
     index: np.ndarray | None  # the workspace's voxel -> group index
-    gt_index: np.ndarray | None  # group of each GT voxel, in C order
+    gt_coords: tuple[np.ndarray, ...] | None  # coordinates of the GT voxels, in C order
+    gt_index: np.ndarray | None  # group of each GT voxel, in the same order
     shared: bool
     inter: np.ndarray  # sum of p * g
     denom: np.ndarray  # sum of p + sum of g; > 0 on any voxel set, as p > 0
@@ -200,12 +203,12 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
         inter = np.sum(np.multiply(vp.p, vp.gt, out=vp.buf))
         psum, ce_sum = np.sum(vp.p), np.sum(vp.ce)
         gsum = float(np.count_nonzero(vp.gt))
-        return _Terms(None, None, False, np.array([inter]), np.array([psum + gsum]),
+        return _Terms(None, None, None, False, np.array([inter]), np.array([psum + gsum]),
                       np.array([ce_sum]), np.array([float(vp.p.size)]))
     n, shared = lab.count, part is None
     np.copyto(vp.index, lab.labels if shared else part.region_of)
-    flat, gt_index = vp.index.ravel(), lab.foreground_ids
-    inter = np.bincount(gt_index, weights=vp.p[vp.gt], minlength=n + 1)
+    flat, gt_coords, gt_index = vp.index.ravel(), lab.foreground_coords, lab.foreground_ids
+    inter = np.bincount(gt_index, weights=vp.p[gt_coords], minlength=n + 1)
     psum = np.bincount(flat, weights=vp.p.ravel(), minlength=n + 1)
     ce_sum = np.bincount(flat, weights=vp.ce.ravel(), minlength=n + 1)
     sums = (inter, psum, ce_sum)
@@ -216,7 +219,7 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
         inter, psum, ce_sum = (s[1:] for s in sums)
         size = part.region_sizes().astype(np.float64)
     gsum = lab.volumes_vox.astype(np.float64)
-    return _Terms(vp.index, gt_index, shared, inter, psum + gsum, ce_sum, size)
+    return _Terms(vp.index, gt_coords, gt_index, shared, inter, psum + gsum, ce_sum, size)
 
 
 def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
@@ -247,7 +250,7 @@ def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
 
     a, b, c = per_group(a), per_group(b), per_group(c)
     np.take(0.0 * a + b, t.index, out=out, mode="clip")
-    out[vp.gt] = (a + b)[t.gt_index]
+    out[t.gt_coords] = (a + b)[t.gt_index]
     out *= vp.dpdl
     ce_grad = np.take(c, t.index, out=vp.buf, mode="clip")
     ce_grad *= vp.r
@@ -299,10 +302,20 @@ def cross_entropy_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
     return dicece_loss(logits, gt, w_dice=0.0, w_ce=1.0)
 
 
-def _check_instance_inputs(gt, lab):
+def _instance_terms(logits, gt, lab, part=None):
+    """Check an instance loss's inputs, then take the pass and sum its terms.
+
+    With ``part`` the terms are CC's Voronoi regions, else blob's masked
+    lattices. Every call checks, in time proportional to the GT voxels and
+    with no memory of earlier calls, that ``lab`` labels exactly ``gt``'s
+    voxels and that ``part`` puts each of ``lab``'s components in its own
+    region.
+    """
     if lab.labels.shape != gt.voxels.shape:
         raise ValueError("component labeling shape does not match the volume")
-    if not lab.labels_mask(gt):
+    coords = lab.foreground_coords
+    # as many GT voxels as labeled ones, and each labeled voxel in the GT
+    if gt.foreground_count != coords[0].size or not gt.voxels[coords].all():
         raise ValueError(
             "component labeling covers other voxels than the ground truth; "
             "label this ground truth"
@@ -311,21 +324,12 @@ def _check_instance_inputs(gt, lab):
         raise EmptyGroundTruthError(
             "instance loss needs at least one ground-truth component"
         )
-
-
-def _cc_terms(logits, gt, lab, part):
-    _check_instance_inputs(gt, lab)
-    if (part.region_of.shape != gt.voxels.shape or part.count != lab.count
-            or not part.partitions(lab)):
+    if part is not None and (
+            part.region_of.shape != gt.voxels.shape or part.count != lab.count
+            or not np.array_equal(part.region_of[coords], lab.foreground_ids)):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
     return vp, _reduce(vp, lab, part)
-
-
-def _blob_terms(logits, gt, lab):
-    _check_instance_inputs(gt, lab)
-    vp = _as_pass(logits, gt)
-    return vp, _reduce(vp, lab)
 
 
 def _mean_of_terms(logits, vp, t, w_dice, w_ce) -> LossValue | _Unchecked:
@@ -363,7 +367,7 @@ def cc_instance_loss(
     the thread ends or a call of another shape or memory layout replaces it
     (see the module docstring).
     """
-    return _mean_of_terms(logits, *_cc_terms(logits, gt, lab, part), w_dice, w_ce)
+    return _mean_of_terms(logits, *_instance_terms(logits, gt, lab, part), w_dice, w_ce)
 
 
 def cc_instance_terms(
@@ -379,7 +383,7 @@ def cc_instance_terms(
     Each term carries its own dense gradient, so the result holds one float64
     lattice per lesion: memory is count x lattice, where the loss returns one.
     """
-    return _each_term(*_cc_terms(logits, gt, lab, part), w_dice, w_ce)
+    return _each_term(*_instance_terms(logits, gt, lab, part), w_dice, w_ce)
 
 
 def blob_instance_loss(
@@ -400,7 +404,7 @@ def blob_instance_loss(
     the thread ends or a call of another shape or memory layout replaces it
     (see the module docstring).
     """
-    return _mean_of_terms(logits, *_blob_terms(logits, gt, lab), w_dice, w_ce)
+    return _mean_of_terms(logits, *_instance_terms(logits, gt, lab), w_dice, w_ce)
 
 
 def blob_instance_terms(
@@ -415,7 +419,7 @@ def blob_instance_terms(
     Each term carries its own dense gradient, so the result holds one float64
     lattice per lesion: memory is count x lattice, where the loss returns one.
     """
-    return _each_term(*_blob_terms(logits, gt, lab), w_dice, w_ce)
+    return _each_term(*_instance_terms(logits, gt, lab), w_dice, w_ce)
 
 
 def combined_loss(
@@ -431,8 +435,9 @@ def combined_loss(
     """Global DiceCE plus the selected instance term, weighted 1:1 by default.
 
     ``lab`` and ``part`` may be supplied to reuse precomputed structures;
-    they must derive from ``gt`` (a ``lab`` of other voxels, or a ``part``
-    of another labeling, raises ``ValueError``). With no ground-truth
+    they must derive from ``gt`` (a ``lab`` of other voxels, a ``part`` of
+    another labeling, or a ``part`` of another ``metric`` raises
+    ``ValueError``), and are checked on every call. With no ground-truth
     components there is no instance term and the value is the global term.
 
     Leaves this thread's loss workspace, 57 bytes per voxel, resident until
@@ -440,6 +445,9 @@ def combined_loss(
     (see the module docstring).
     """
     kind = LossKind(kind)
+    _check_metric(metric)
+    if part is not None and part.metric != metric:
+        raise ValueError(f"Voronoi partition has metric {part.metric!r}, not {metric!r}")
     weights = weights or LossWeights()
     vp = _voxel_pass(logits, gt)
 
@@ -453,15 +461,15 @@ def combined_loss(
 
     if lab is None:
         lab = label_components(gt)
-    if lab.count == 0:
+    try:  # the instance loss checks lab against gt before it counts components
+        if kind is LossKind.CC_DICECE:
+            if part is None and lab.count:
+                part = voronoi_partition(lab, metric)
+            inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
+        else:
+            inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
+    except EmptyGroundTruthError:
         return LossValue(scalar, grad)
-
-    if kind is LossKind.CC_DICECE:
-        if part is None:
-            part = voronoi_partition(lab, metric)
-        inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
-    else:
-        inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
     grad += np.multiply(inst.grad, weights.w_instance, out=inst.grad)
     return LossValue(scalar + weights.w_instance * inst.scalar, grad)
 

@@ -101,7 +101,6 @@ predicted voxels, which the lookup reads without the dense partition.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,22 +140,6 @@ class VoronoiPartition:
         sizes = np.bincount(self.region_of.ravel(), minlength=self.count + 1)[1:]
         sizes.setflags(write=False)
         return sizes
-
-    def partitions(self, lab: ComponentLabeling) -> bool:
-        """Whether each of ``lab``'s components lies in its own region, as
-        it does in ``voronoi_partition(lab)``.
-
-        One lattice pass; the last labeling found to match is remembered
-        (weakly), so a loop that passes one labeling object checks once.
-        """
-        seen = self.__dict__.get("_lab")
-        if seen is not None and seen() is lab:
-            return True
-        if self.region_of.shape != lab.labels.shape or not np.array_equal(
-                self.region_of[lab.labels != 0], lab.foreground_ids):
-            return False
-        self.__dict__["_lab"] = weakref.ref(lab)
-        return True
 
 
 def _check_metric(metric: str) -> None:
@@ -316,12 +299,17 @@ def nearest_component(lab: ComponentLabeling, points, metric: str = "voxel") -> 
     included, without building the partition: a ground-truth voxel maps to
     its own label, every other voxel queries one k-d tree over the boundary
     voxels of all components (see "Lookup" in the module docstring for the
-    lemma that makes this exact).
+    lemma that makes this exact). Points that are not an (n, 3) integer
+    array, or lie off the lattice, raise ``ValueError``.
     """
     _check_metric(metric)
     if lab.count < 1:
         raise EmptyGroundTruthError("cannot look up Voronoi regions: no components")
-    points = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != 3 or not np.issubdtype(points.dtype, np.integer):
+        raise ValueError(f"points must be an (n, 3) integer array, got {points.dtype} "
+                         f"of shape {points.shape}")
+    points = points.astype(np.int64, copy=False)
     if points.size and (points.min() < 0 or np.any(points.max(axis=0) >= lab.labels.shape)):
         raise ValueError(f"points must lie in the lattice of shape {lab.labels.shape}")
     if lab.count == 1:

@@ -96,6 +96,18 @@ def test_eval_bad_manifest_header_is_io_error(tmp_path):
         == EXIT_IO
 
 
+def test_eval_manifest_header_with_spaces_reads_its_cases(tmp_path):
+    mask = mk_mask(np.ones((3, 3, 3), dtype=bool))
+    write_volume(mask, tmp_path / "m.raw")
+    manifest = tmp_path / "cases.csv"
+    manifest.write_text(" gt , pred ,note\n m.raw , m.raw ,x\n\n")
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["summary"] == {"n_cases": 1, "n_ok": 1, "n_failed": 0}
+    assert report["cases"][0]["metrics"]["dice"] == 1.0
+
+
 def test_eval_partial_failure(tmp_path):
     mask = mk_mask(np.ones((4, 4, 4), dtype=bool))
     write_volume(mask, tmp_path / "m.raw")

@@ -6,12 +6,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from lesionwise import (
     LOGIT_CLAMP,
     EmptyGroundTruthError,
     LossWeights,
     Shape,
+    Spacing,
     blob_instance_loss,
     blob_instance_terms,
     build_phantom,
@@ -27,6 +31,8 @@ from lesionwise import (
     voronoi_partition,
 )
 from lesionwise import losses
+from lesionwise.components import ComponentLabeling
+from lesionwise.voronoi import VoronoiPartition
 from oracles import (
     UNIT,
     dicece_over_voxels,
@@ -637,3 +643,129 @@ def test_non_finite_loss_raises():
         for call in calls:
             with pytest.raises(ValueError, match="not finite|NaN or Inf"):
                 call()
+
+
+def test_combined_loss_rejects_a_partition_of_another_metric():
+    # at spacing 1x1x3 the voxel and physical partitions differ
+    spec = random_instances_spec(Shape(8, 8, 8), Spacing(1.0, 1.0, 3.0), 3, 1)
+    gt, lab = build_phantom(spec)
+    logits = mk_logits(np.random.default_rng(1).normal(0.0, 2.0, (8, 8, 8)), gt.spacing)
+    vox, phys = voronoi_partition(lab, "voxel"), voronoi_partition(lab, "physical")
+    assert np.count_nonzero(vox.region_of != phys.region_of) > 0
+    for part, metric in ((vox, "physical"), (phys, "voxel")):
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="metric"):
+                combined_loss(kind, logits, gt, metric=metric, lab=lab, part=part)
+    want = _digest(combined_loss("cc-dicece", logits, gt, metric="physical"))
+    assert _digest(combined_loss("cc-dicece", logits, gt, metric="physical",
+                                 lab=lab, part=phys)) == want
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="metric must be one of"):
+            combined_loss(kind, logits, gt, metric="chebyshev")
+
+
+# ---------------------------------------------------------------------------
+# stateless input checks, against the lattice-wide oracle
+# ---------------------------------------------------------------------------
+
+_EDITS = ("same", "moved", "grown", "shrunk", "random", "reshaped")
+
+
+def _edited(data, arr, how):
+    """A mask related to ``arr`` by one edit: a voxel of a lesion moved,
+    added or removed, an unrelated mask, or a mask of another shape."""
+    if how == "random":
+        return data.draw(npst.arrays(bool, arr.shape))
+    if how == "reshaped":
+        return data.draw(npst.arrays(bool, (arr.shape[0] + 1,) + arr.shape[1:]))
+    out = np.array(arr, order="C")
+    fg, bg = np.flatnonzero(arr), np.flatnonzero(~arr)
+    if how in ("moved", "shrunk") and fg.size:
+        out.flat[fg[data.draw(st.integers(0, fg.size - 1))]] = False
+    if how in ("moved", "grown") and bg.size:
+        out.flat[bg[data.draw(st.integers(0, bg.size - 1))]] = True
+    return out
+
+
+def _labeled(arr, order):
+    """``label_components`` of ``arr``, its labels laid out in ``order``."""
+    lab = label_components(mk_mask(arr))
+    return ComponentLabeling(np.asarray(lab.labels, order=order), lab.count,
+                             lab.volumes_vox, lab.volumes_mm3, lab.spacing)
+
+
+def _outcome(call):
+    try:
+        call()
+    except EmptyGroundTruthError:
+        return "empty"
+    except ValueError as exc:
+        msg = str(exc)
+        return "labeling" if msg.startswith("component labeling") else \
+            "partition" if msg.startswith("Voronoi partition") else msg
+    return "ok"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stateless_checks_accept_exactly_what_the_lattice_oracle_accepts(data):
+    shape = data.draw(st.tuples(*[st.integers(1, 5)] * 3))
+    arr = data.draw(npst.arrays(bool, shape))
+    gt = mk_mask(np.asarray(arr, order=data.draw(st.sampled_from("CF"))))
+    logits = mk_logits(np.random.default_rng(80).normal(0.0, 2.0, shape))
+    lab = _labeled(_edited(data, arr, data.draw(st.sampled_from(_EDITS))),
+                   data.draw(st.sampled_from("CF")))
+    # the partition of another labeling, often with the same count, or of
+    # gt's own labeling with the IDs reversed
+    own = label_components(gt)
+    how = data.draw(st.sampled_from(_EDITS + ("reversed",)))
+    src = own if how == "reversed" else label_components(mk_mask(_edited(data, arr, how)))
+    src = src if src.count else own
+    part = voronoi_partition(src) if src.count else None
+    if how == "reversed" and part is not None:
+        part = VoronoiPartition(part.count + 1 - part.region_of, part.count, part.metric)
+
+    lab_ok = lab.labels.shape == shape and np.array_equal(lab.labels != 0, gt.voxels)
+    fg = lab.labels != 0
+    part_ok = part is not None and part.region_of.shape == lab.labels.shape \
+        and part.count == lab.count and np.array_equal(part.region_of[fg], lab.labels[fg])
+    want = "labeling" if not lab_ok else "empty" if lab.count == 0 else "ok"
+    good_part = voronoi_partition(own) if own.count else None
+
+    # each mismatch raises on every call, whatever the calls between passed
+    for _ in range(2):
+        assert _outcome(lambda: blob_instance_loss(logits, gt, lab)) == want
+        assert _outcome(lambda: combined_loss("blob-dicece", logits, gt, lab=lab)) == \
+            ("ok" if want == "empty" else want)
+        if part is not None:
+            want_cc = "partition" if want == "ok" and not part_ok else want
+            assert _outcome(lambda: cc_instance_loss(logits, gt, lab, part)) == want_cc
+            assert _outcome(lambda: combined_loss("cc-dicece", logits, gt, lab=lab,
+                                                  part=part)) == \
+                ("ok" if want_cc == "empty" else want_cc)
+        assert _outcome(lambda: blob_instance_loss(logits, gt, own)) == \
+            ("ok" if own.count else "empty")
+        if good_part is not None:
+            assert _outcome(lambda: cc_instance_loss(logits, gt, own, good_part)) == "ok"
+
+    # the same bits whether gt, lab and part are reused or rebuilt per call
+    if own.count:
+        for kind in ("cc-dicece", "blob-dicece"):
+            reused = [_digest(combined_loss(kind, logits, gt, lab=own, part=good_part))
+                      for _ in range(2)]
+            fresh = []
+            for _ in range(2):
+                gt2 = mk_mask(np.array(gt.voxels, order="K"))
+                lab2 = label_components(gt2)
+                fresh.append(_digest(combined_loss(kind, logits, gt2, lab=lab2,
+                                                   part=voronoi_partition(lab2))))
+            assert reused == fresh
+            assert reused[0] == _digest(combined_loss(kind, logits, gt))
+
+
+def test_combined_loss_rejects_an_empty_labeling_of_a_nonempty_gt():
+    gt, _, logits = _random_case(81, n_components=2)
+    empty = label_components(mk_mask(np.zeros(gt.voxels.shape, dtype=bool)))
+    for kind in ("cc-dicece", "blob-dicece"):
+        with pytest.raises(ValueError, match="covers"):
+            combined_loss(kind, logits, gt, lab=empty)

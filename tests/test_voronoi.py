@@ -210,6 +210,22 @@ def test_lookup_rejects_points_off_the_lattice():
             nearest_component(lab, bad)
 
 
+def test_lookup_rejects_non_integer_or_misshaped_points():
+    arr = np.zeros((9, 3, 3), dtype=bool)
+    arr[0, 1, 1] = arr[8, 1, 1] = True
+    lab = label_components(mk_mask(arr))
+    bad = ([[4.9, 1, 1]], np.array([[True, False, True]]), np.zeros(6, dtype=np.int64),
+           np.zeros((3, 2), dtype=np.int64), np.zeros((1, 3, 1), dtype=np.int64), [])
+    for points in bad:
+        with pytest.raises(ValueError, match=r"\(n, 3\) integer array"):
+            nearest_component(lab, points)
+    # integer lists and arrays of any integer dtype are accepted
+    assert nearest_component(lab, [[5, 1, 1]]).tolist() == [2]
+    assert nearest_component(lab, np.array([[5, 1, 1], [4, 1, 1]], dtype=np.uint8)).tolist() \
+        == [2, 1]
+    assert nearest_component(lab, np.zeros((0, 3), dtype=np.int32)).size == 0
+
+
 def _record_tree_queries(monkeypatch):
     import scipy.spatial
 
@@ -276,6 +292,26 @@ def test_case_metrics_does_not_build_the_dense_partition(monkeypatch):
     monkeypatch.setattr(lesionwise.metrics, "voronoi_partition", refuse)
     for metric in ("voxel", "physical"):
         assert case_metrics(pred, gt, metric).cc_dice == expected[metric]
+
+
+def test_case_metrics_does_not_build_the_gt_coordinate_index(monkeypatch):
+    # the instance losses' coordinate index costs a lattice scan; eval never reads it
+    rng = np.random.default_rng(9)
+    spec = random_instances_spec(Shape(14, 12, 10), Spacing(0.9, 0.9, 3.0), 4, 22)
+    gt, _ = build_phantom(spec)
+    pred = mk_mask(gt.voxels ^ (rng.random(gt.voxels.shape) < 0.08), gt.spacing)
+    built = []
+
+    def recording(mask):
+        built.append(label_components(mask))
+        return built[-1]
+
+    monkeypatch.setattr(lesionwise.metrics, "label_components", recording)
+    for metric in ("voxel", "physical"):
+        case_metrics(pred, gt, metric)
+    assert len(built) == 4 and all(lab.count for lab in built)
+    for lab in built:
+        assert "foreground_coords" not in vars(lab) and "foreground_ids" not in vars(lab)
 
 
 def test_partition_invariants_hold():

@@ -34,7 +34,7 @@ from .metrics import METRIC_FIELDS, aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
 from .volumes import BinaryMask, LogitVolume, ShapeMismatchError, binarize
 from .volumes import sigmoid  # noqa: F401  # lwbench/tracer.py wraps this attribute
-from .voronoi import EmptyGroundTruthError, voronoi_partition
+from .voronoi import VALID_METRICS, EmptyGroundTruthError, voronoi_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -319,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, help="CSV with header gt,pred; paths relative to the manifest")
     p.add_argument("--out", required=True, help="output directory for reports")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--distance", choices=["voxel", "physical"], default="voxel")
+    p.add_argument("--distance", choices=VALID_METRICS, default="voxel")
     p.add_argument("--empty-gt", dest="empty_gt", choices=["global-only", "zero"],
                    default="global-only", help="echoed in the report; has no effect")
     p.add_argument("--format", default="json,csv", help="comma list of report formats")
@@ -329,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--logits", required=True)
     _add_common_loss_flags(p)
-    p.add_argument("--distance", choices=["voxel", "physical"], default="voxel")
+    p.add_argument("--distance", choices=VALID_METRICS, default="voxel")
     p.add_argument("--grad-out", dest="grad_out", default=None,
                    help="write the per-voxel gradient volume here")
     p.add_argument("--normalized", action="store_true",
@@ -351,7 +351,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("voronoi", help="export the Voronoi region-id volume of a mask")
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--distance", choices=["voxel", "physical"], default="voxel")
+    p.add_argument("--distance", choices=VALID_METRICS, default="voxel")
     p.set_defaults(func=cmd_voronoi)
     return parser
 

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .volumes import BinaryMask, Shape, Spacing
+from .volumes import BinaryMask, Spacing
 
 # Full 3x3x3 structuring element: faces, edges and corners all connect.
 _STRUCTURE_26 = np.ones((3, 3, 3), dtype=bool)
@@ -59,10 +59,6 @@ class ComponentLabeling:
         self.labels.setflags(write=False)
         self.volumes_vox.setflags(write=False)
         self.volumes_mm3.setflags(write=False)
-
-    @property
-    def shape(self) -> Shape:
-        return Shape(*self.labels.shape)
 
     @cached_property
     def voxel_lists(self) -> tuple[np.ndarray, ...]:
@@ -134,12 +130,3 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
         volumes_mm3=volumes_vox * mask.spacing.voxel_volume,
         spacing=mask.spacing,
     )
-
-
-def component_mask(lab: ComponentLabeling, component_id: int) -> BinaryMask:
-    """Mask of the voxels carrying one component id (1..count)."""
-    if not 1 <= component_id <= lab.count:
-        raise ValueError(
-            f"component id must be in 1..{lab.count}, got {component_id}"
-        )
-    return BinaryMask(lab.labels == component_id, lab.spacing)

@@ -87,7 +87,7 @@ def write_volume(vol, path) -> None:
         "order": "x-fastest",
     }
     _sidecar_path(path).write_text(json.dumps(header, indent=2) + "\n")
-    path.write_bytes(np.asfortranarray(data).tobytes(order="F"))
+    path.write_bytes(data.tobytes(order="F"))
 
 
 def read_volume(path):

@@ -297,9 +297,17 @@ def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
     return dicece_loss(logits, gt, w_dice=1.0, w_ce=0.0)
 
 
-def cross_entropy_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
-    """Mean binary cross-entropy over the whole lattice (stable form)."""
-    return dicece_loss(logits, gt, w_dice=0.0, w_ce=1.0)
+def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
+    """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels; O(GT voxels)."""
+    if lab.labels.shape != gt.voxels.shape:
+        raise ValueError("component labeling shape does not match the volume")
+    coords = lab.foreground_coords
+    # as many GT voxels as labeled ones, and each labeled voxel in the GT
+    if gt.foreground_count != coords[0].size or not gt.voxels[coords].all():
+        raise ValueError(
+            "component labeling covers other voxels than the ground truth; "
+            "label this ground truth"
+        )
 
 
 def _instance_terms(logits, gt, lab, part=None):
@@ -311,22 +319,14 @@ def _instance_terms(logits, gt, lab, part=None):
     voxels and that ``part`` puts each of ``lab``'s components in its own
     region.
     """
-    if lab.labels.shape != gt.voxels.shape:
-        raise ValueError("component labeling shape does not match the volume")
-    coords = lab.foreground_coords
-    # as many GT voxels as labeled ones, and each labeled voxel in the GT
-    if gt.foreground_count != coords[0].size or not gt.voxels[coords].all():
-        raise ValueError(
-            "component labeling covers other voxels than the ground truth; "
-            "label this ground truth"
-        )
+    _check_labeling(lab, gt)
     if lab.count < 1:
         raise EmptyGroundTruthError(
             "instance loss needs at least one ground-truth component"
         )
     if part is not None and (
             part.region_of.shape != gt.voxels.shape or part.count != lab.count
-            or not np.array_equal(part.region_of[coords], lab.foreground_ids)):
+            or not np.array_equal(part.region_of[lab.foreground_coords], lab.foreground_ids)):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
     return vp, _reduce(vp, lab, part)
@@ -461,6 +461,8 @@ def combined_loss(
 
     if lab is None:
         lab = label_components(gt)
+    elif kind is LossKind.CC_DICECE and part is None:
+        _check_labeling(lab, gt)  # before a partition is built from it
     try:  # the instance loss checks lab against gt before it counts components
         if kind is LossKind.CC_DICECE:
             if part is None and lab.count:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .components import ComponentLabeling, label_components
 from .volumes import BinaryMask, require_same_grid
-from .voronoi import nearest_component
+from .voronoi import _check_metric, nearest_component
 from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps this attribute
 
 
@@ -91,6 +91,7 @@ def cc_dice(
     ``lab`` may be passed to reuse the GT labeling. R_C is read only at the
     predicted voxels, through ``nearest_component``.
     """
+    _check_metric(metric)
     require_same_grid(pred, gt)
     if lab is None:
         lab = label_components(gt)
@@ -107,14 +108,24 @@ def cc_dice(
 
 
 def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching; returns match_left (right index or -1)."""
+    """Maximum bipartite matching; returns match_left (right index or -1).
+
+    Each phase layers the graph by a BFS from every free left vertex, then
+    runs one layered DFS from each free left vertex in ascending order. The
+    DFS keeps an explicit stack of (vertex, iterator over its right
+    neighbours) plus the neighbour tried at each level, so its depth is
+    bounded by memory, not by Python's recursion limit. A neighbour ``v``
+    leads on if it is free (augment along the stack) or its partner sits on
+    the next layer (push the partner); a vertex whose neighbours are all
+    tried leaves the layering and is popped. This visits the same vertices
+    in the same order as the textbook recursive DFS.
+    """
     n_left = len(adj)
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     INF = float("inf")
     dist = [INF] * n_left
-
-    def bfs() -> bool:
+    while True:
         q = deque()
         for u in range(n_left):
             if match_l[u] == -1:
@@ -132,28 +143,35 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
                 elif dist[w] == INF:
                     dist[w] = dist[u] + 1
                     q.append(w)
-        return found
+        if not found:
+            return match_l
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+        for root in range(n_left):
+            if match_l[root] != -1:
+                continue
+            stack = [(root, iter(adj[root]))]
+            tried: list[int] = []  # tried[k]: the neighbour stack[k] leads on through
+            while stack:
+                u, preds = stack[-1]
+                for v in preds:
+                    w = match_r[v]
+                    if w == -1 or dist[w] == dist[u] + 1:
+                        break
+                else:  # dead end: u leaves the layering, its parent tries its next
+                    dist[u] = INF
+                    stack.pop()
+                    del tried[-1:]
+                    continue
+                tried.append(v)
+                if w == -1:  # augment: every vertex on the stack takes its tried neighbour
+                    for (u, _), v in zip(stack, tried):
+                        match_l[u] = v
+                        match_r[v] = u
+                    break
+                stack.append((w, iter(adj[w])))
 
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
-    return match_l
 
-
-def match_instances(
-    pred_lab: ComponentLabeling, gt_lab: ComponentLabeling
-) -> MatchResult:
+def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> MatchResult:
     """Maximum-cardinality one-to-one matching on the >=1-voxel overlap graph.
 
     Several maximum matchings can exist, and ``gt_detected`` and quartile
@@ -163,36 +181,33 @@ def match_instances(
     overlaps two otherwise unmatched GTs goes to the lower GT ID. Another
     matcher (e.g. ``scipy.sparse.csgraph.maximum_bipartite_matching``) can
     return a different maximum matching and so change the reports.
+
+    The overlap edges are the distinct keys ``gt * (n_pred + 1) + pred`` over
+    the voxels in both masks, which sort GT-major with preds ascending. The
+    matcher's DFS runs on an explicit stack, so an augmenting path may be
+    as long as the components allow.
     """
     if pred_lab.labels.shape != gt_lab.labels.shape:
         raise ValueError("labelings cover different grids")
 
     both = (pred_lab.labels > 0) & (gt_lab.labels > 0)
-    if both.any():
-        edges = np.unique(
-            np.stack([gt_lab.labels[both], pred_lab.labels[both]]), axis=1
-        )
-    else:
-        edges = np.zeros((2, 0), dtype=np.int32)
-
+    stride = pred_lab.count + 1
+    keys = np.unique(gt_lab.labels[both] * np.int64(stride) + pred_lab.labels[both])
     adj: list[list[int]] = [[] for _ in range(gt_lab.count)]
-    for g, p in edges.T:
+    for g, p in (divmod(k, stride) for k in keys.tolist()):
         adj[g - 1].append(p - 1)
     match_l = _hopcroft_karp(adj, pred_lab.count)
 
-    pairs = tuple(
-        (g + 1, v + 1) for g, v in enumerate(match_l) if v != -1
-    )
+    pairs = tuple((g + 1, v + 1) for g, v in enumerate(match_l) if v != -1)
     matched_pred = {v for _, v in pairs}
     unmatched_gt = tuple(g + 1 for g, v in enumerate(match_l) if v == -1)
-    unmatched_pred = tuple(
-        p for p in range(1, pred_lab.count + 1) if p not in matched_pred
-    )
+    unmatched_pred = tuple(p for p in range(1, pred_lab.count + 1) if p not in matched_pred)
     return MatchResult(pairs, unmatched_gt, unmatched_pred)
 
 
 def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> CaseMetrics:
     """All per-case metrics for one prediction/ground-truth pair."""
+    _check_metric(metric)
     require_same_grid(pred, gt)
     gt_lab = label_components(gt)
     pred_lab = label_components(pred)
@@ -204,21 +219,15 @@ def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> Cas
     fn = n_gt - tp
 
     detected = np.zeros(n_gt, dtype=bool)
-    for g, _ in match.pairs:
-        detected[g - 1] = True
+    detected[[g - 1 for g, _ in match.pairs]] = True
 
-    if n_gt > 0:
-        ccd = cc_dice(pred, gt, metric, lab=gt_lab)
-        recall = tp / n_gt
-    else:
-        ccd = None
-        recall = None
+    recall = tp / n_gt if n_gt > 0 else None
     precision = tp / (tp + fp) if tp + fp > 0 else None
     f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn > 0 else None
 
     return CaseMetrics(
         dice=hard_dice(pred, gt),
-        cc_dice=ccd,
+        cc_dice=cc_dice(pred, gt, metric, lab=gt_lab),
         precision=precision,
         recall=recall,
         f1=f1,

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (BFS flood fill, exhaustive matching
 via bitmask DP, central finite differences, DiceCE straight from its
-formula) and shares no code with the package internals it checks.
+formula, a recursive Hopcroft–Karp) and shares no code with the package
+internals it checks.
 """
 
 from __future__ import annotations
@@ -132,6 +133,54 @@ def max_matching_size(adj: list[list[int]], n_right: int) -> int:
     return result
 
 
+# The matcher as it was before its DFS moved onto an explicit stack, kept
+# verbatim: the reference matching that the stack version must reproduce.
+# Its DFS recurses once per layer, so keep its graphs' paths short.
+def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
+    """Maximum bipartite matching; returns match_left (right index or -1)."""
+    n_left = len(adj)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    INF = float("inf")
+    dist = [INF] * n_left
+
+    def bfs() -> bool:
+        q = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                q.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            w = match_r[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dfs(u)
+    return match_l
+
+
 def random_mask_with_components(shape, n_components, seed, spacing=UNIT):
     """Seeded random well-separated instance mask plus its expected count."""
     from lesionwise import Shape, build_phantom, random_instances_spec
@@ -140,3 +189,24 @@ def random_mask_with_components(shape, n_components, seed, spacing=UNIT):
     mask, lab = build_phantom(spec)
     assert lab.count == n_components
     return mask, lab
+
+
+def chain_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """GT and prediction arrays, shape (4n + 4, 1, 3), of n lesions in one overlap chain.
+
+    GT i < n - 1 spans x = 4i+1..4i+3 at z = 0, and GT n - 1 the same x at
+    z = 2. Pred 0 spans x = 0..1 at z = 0, a pillar at x = 0 up to z = 2 and
+    the whole z = 2 row; pred j >= 1 spans x = 4j-1..4j+1 at z = 0. So GT i
+    overlaps preds i and i + 1, the last GT only pred 0, and a maximum
+    matching needs one augmenting path through all n GTs.
+    """
+    gt = np.zeros((4 * n + 4, 1, 3), dtype=bool)
+    pred = np.zeros_like(gt)
+    for i in range(n):
+        gt[4 * i + 1 : 4 * i + 4, 0, 2 if i == n - 1 else 0] = True
+    pred[0:2, 0, 0] = True
+    pred[0, 0, :] = True
+    pred[:, 0, 2] = True
+    for j in range(1, n):
+        pred[4 * j - 1 : 4 * j + 2, 0, 0] = True
+    return gt, pred

@@ -18,7 +18,7 @@ from lesionwise import (
 )
 from lesionwise import cli
 from lesionwise.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, main
-from oracles import mk_mask
+from oracles import chain_pair, mk_mask
 
 
 def run_cli(argv):
@@ -75,6 +75,20 @@ def test_eval_figure1_pair(figure1_files):
     assert qr["recall"] == [0.0, None, None, 1.0]
     assert qr["total"] == [13, 0, 0, 3]
     assert report["config"]["tie_policy"] == "lowest-component-id"
+
+
+def test_eval_long_overlap_chain_is_fully_matched(tmp_path):
+    """1200 GT and 1200 predicted lesions whose matching needs one 1200-long path."""
+    gt, pred = chain_pair(1200)
+    write_volume(mk_mask(gt), tmp_path / "gt.raw")
+    write_volume(mk_mask(pred), tmp_path / "pred.raw")
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("gt.raw", "pred.raw")])
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+
+    m = json.loads((out / "report.json").read_text())["cases"][0]["metrics"]
+    assert (m["n_gt"], m["n_pred"], m["tp"], m["fp"], m["fn"]) == (1200, 1200, 1200, 0, 0)
 
 
 def test_eval_empty_manifest_is_usage_error(tmp_path):
@@ -406,6 +420,10 @@ def _bad_inputs(d: Path) -> None:
     (d / "masks").mkdir()
     write_volume(sc.gt, d / "masks" / "a.raw")
     (d / "masks" / "b.nii.gz").write_bytes(blob[: len(blob) // 2])
+    write_volume(sc.gt, d / "gt.nii")
+    bitpix = bytearray((d / "gt.nii").read_bytes())
+    bitpix[72:74] = (16).to_bytes(2, "little")  # uint8 data declared 16 bits wide
+    (d / "bad_bitpix.nii").write_bytes(bytes(bitpix))
 
 
 # argv with {d} for the directory of _bad_inputs, the expected exit code and
@@ -425,6 +443,8 @@ PROBES = [
                  EXIT_IO, "bad_crc.nii.gz", id="voronoi-bad-crc-gz"),
     pytest.param(["voronoi", "--gt", "{d}/nope.nii", "--out", "{d}/v.raw"],
                  EXIT_IO, "nope.nii", id="voronoi-missing-input"),
+    pytest.param(["voronoi", "--gt", "{d}/bad_bitpix.nii", "--out", "{d}/v.raw"],
+                 EXIT_IO, "bad_bitpix.nii", id="voronoi-nifti-bitpix"),
     pytest.param(["loss", "--gt", "{d}/gt.raw", "--logits", "{d}/logits.raw",
                   "--grad-out", "{d}/no/g.raw"],
                  EXIT_IO, "g.raw", id="loss-grad-out-missing-dir"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lesionwise.components
-from lesionwise import Spacing, component_mask, label_components
+from lesionwise import Spacing, label_components
 from oracles import flood_fill_label, mk_mask
 
 
@@ -120,7 +120,7 @@ def test_partition_invariants():
 
     union = np.zeros_like(arr)
     for cid in range(1, lab.count + 1):
-        cm = component_mask(lab, cid).voxels
+        cm = lab.labels == cid
         assert not (union & cm).any()  # pairwise disjoint
         union |= cm
     assert np.array_equal(union, arr)
@@ -159,15 +159,5 @@ def test_component_mask_matches_oracle_partition():
     lab = label_components(mk_mask(arr))
     assert lab.count == 3
     _, oracle = flood_fill_label(arr)
-    cm = component_mask(lab, 2)
-    assert np.array_equal(cm.voxels, oracle == 2)
-
-
-def test_component_mask_rejects_bad_ids():
-    arr = np.zeros((3, 3, 3), dtype=bool)
-    arr[1, 1, 1] = True
-    lab = label_components(mk_mask(arr))
-    assert np.array_equal(component_mask(lab, 1).voxels, arr)  # identity
-    for bad in (0, 2, -1):
-        with pytest.raises(ValueError):
-            component_mask(lab, bad)
+    for cid in range(1, 4):
+        assert np.array_equal(lab.labels == cid, oracle == cid)

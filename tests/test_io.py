@@ -221,6 +221,13 @@ def test_nifti_big_endian(tmp_path):
         (lambda b: b"\xff" * 4 + b[4:], "byte offset 0"),
         (lambda b: b[:344] + b"abcd" + b[348:], "byte offset 344"),
         (lambda b: b[:344] + b"ni1\x00" + b[348:], "two-file"),
+        (lambda b: b[:40] + struct.pack("<h", 8) + b[42:], r"dim\[0\]=8 at byte offset 40"),
+        (lambda b: b[:42] + struct.pack("<h", 0) + b[44:], "non-positive dimension"),
+        (lambda b: b[:44] + struct.pack("<h", -2) + b[46:], "non-positive dimension in dim"),
+        (lambda b: b[:72] + struct.pack("<h", 16) + b[74:], "bitpix 16 inconsistent"),
+        (lambda b: b[:84] + struct.pack("<f", 0.0) + b[88:], "sy must be positive"),
+        (lambda b: b[:88] + struct.pack("<f", float("nan")) + b[92:],
+         "bad pixdim at byte offset 76"),
     ],
 )
 def test_nifti_malformed_headers(tmp_path, mutate, message):

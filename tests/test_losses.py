@@ -22,7 +22,6 @@ from lesionwise import (
     cc_instance_loss,
     cc_instance_terms,
     combined_loss,
-    cross_entropy_loss,
     dicece_loss,
     gradient_map,
     label_components,
@@ -78,20 +77,20 @@ def test_dice_disjoint_is_one():
 
 def test_cross_entropy_at_zero_logits_is_log_two():
     gt, _, _ = _random_case(3)
-    lv = cross_entropy_loss(mk_logits(np.zeros((6, 6, 6))), gt)
+    lv = dicece_loss(mk_logits(np.zeros((6, 6, 6))), gt, w_dice=0.0, w_ce=1.0)
     assert math.isclose(lv.scalar, math.log(2.0), rel_tol=1e-12)
 
 
 def test_cross_entropy_single_voxel_gradient():
     gt = mk_mask(np.ones((1, 1, 1)))
-    lv = cross_entropy_loss(mk_logits(np.zeros((1, 1, 1))), gt)
+    lv = dicece_loss(mk_logits(np.zeros((1, 1, 1))), gt, w_dice=0.0, w_ce=1.0)
     assert lv.grad[0, 0, 0] == -0.5
 
 
 def test_dicece_is_the_weighted_sum():
     gt, _, logits = _random_case(5)
     d = soft_dice_loss(logits, gt)
-    c = cross_entropy_loss(logits, gt)
+    c = dicece_loss(logits, gt, w_dice=0.0, w_ce=1.0)
     both = dicece_loss(logits, gt, w_dice=0.7, w_ce=1.3)
     assert math.isclose(both.scalar, 0.7 * d.scalar + 1.3 * c.scalar, rel_tol=1e-12)
     np.testing.assert_allclose(both.grad, 0.7 * d.grad + 1.3 * c.grad, rtol=1e-12)
@@ -123,9 +122,10 @@ def test_soft_dice_gradient_matches_finite_differences():
 
 def test_cross_entropy_gradient_matches_finite_differences():
     gt, _, logits = _random_case(11)
-    lv = cross_entropy_loss(logits, gt)
+    lv = dicece_loss(logits, gt, w_dice=0.0, w_ce=1.0)
     _assert_fd(
-        lambda a: cross_entropy_loss(mk_logits(a), gt).scalar, lv.grad, logits.voxels
+        lambda a: dicece_loss(mk_logits(a), gt, w_dice=0.0, w_ce=1.0).scalar,
+        lv.grad, logits.voxels,
     )
 
 
@@ -769,3 +769,21 @@ def test_combined_loss_rejects_an_empty_labeling_of_a_nonempty_gt():
     for kind in ("cc-dicece", "blob-dicece"):
         with pytest.raises(ValueError, match="covers"):
             combined_loss(kind, logits, gt, lab=empty)
+
+
+def test_labeling_is_checked_before_a_partition_is_built(monkeypatch):
+    gt, _, logits = _random_case(82, n_components=2)
+    shifted = np.roll(gt.voxels, 1, axis=0)  # a labeling of other voxels
+    wrong = label_components(mk_mask(shifted))
+    calls = []
+
+    def counting_partition(*args, **kwargs):
+        calls.append(1)
+        return voronoi_partition(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "voronoi_partition", counting_partition)
+    with pytest.raises(ValueError, match="covers"):
+        combined_loss("cc-dicece", logits, gt, lab=wrong)
+    assert calls == []
+    combined_loss("cc-dicece", logits, gt, lab=label_components(gt))
+    assert calls == [1]

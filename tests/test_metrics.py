@@ -18,7 +18,9 @@ from lesionwise import (
     random_instances_spec,
     voronoi_partition_bruteforce,
 )
-from oracles import UNIT, max_matching_size, mk_mask
+from lesionwise.metrics import _hopcroft_karp
+from oracles import UNIT, chain_pair, max_matching_size, mk_mask
+from oracles import _hopcroft_karp as recursive_hopcroft_karp
 
 
 def _case(volumes, detected, **kwargs):
@@ -170,12 +172,75 @@ def test_matching_is_maximum_on_random_graphs():
             for _ in range(n_gt)
         ]
         # mirror the package's matching on a synthetic adjacency
-        from lesionwise.metrics import _hopcroft_karp
-
         match_l = _hopcroft_karp([list(a) for a in adj], n_pred)
         got = sum(1 for v in match_l if v != -1)
         want = max_matching_size([list(a) for a in adj], n_pred)
         assert got == want
+
+
+def _chain(n):
+    """GT i overlaps preds i and i + 1, and the last GT only pred 0.
+
+    Every GT but the last takes its lower pred in the first phase; the last
+    then needs one augmenting path through all n GTs.
+    """
+    return [[i, i + 1] for i in range(n - 1)] + [[0]]
+
+
+def test_stack_matcher_equals_recursive_on_random_graphs():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n_gt, n_pred = (int(n) for n in rng.integers(1, 13, size=2))
+        density = rng.uniform(0.05, 0.7)
+        adj = [np.flatnonzero(rng.random(n_pred) < density).tolist() for _ in range(n_gt)]
+        got = _hopcroft_karp(adj, n_pred)
+        assert got == recursive_hopcroft_karp(adj, n_pred)
+        assert sum(v != -1 for v in got) == max_matching_size(adj, n_pred)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 7, 50, 199, 400])
+def test_stack_matcher_equals_recursive_on_chains(depth):
+    adj = _chain(depth)
+    got = _hopcroft_karp(adj, depth)
+    assert got == recursive_hopcroft_karp(adj, depth)
+    assert got == list(range(1, depth)) + [0]  # every GT moves to its upper pred
+    # the same chain with its GTs listed last-first
+    rev = adj[::-1]
+    assert _hopcroft_karp(rev, depth) == recursive_hopcroft_karp(rev, depth)
+
+
+def test_stack_matcher_has_no_depth_limit():
+    n = 20_000  # far beyond the recursion limit
+    match_l = _hopcroft_karp(_chain(n), n)
+    assert sorted(match_l) == list(range(n))
+
+
+def test_overlap_edges_match_a_pairwise_stack_on_random_masks():
+    """Edges from the one integer key equal the distinct (gt, pred) columns."""
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        gt = rng.random((14, 12, 6)) < rng.uniform(0.02, 0.3)
+        pred = rng.random(gt.shape) < rng.uniform(0.02, 0.3)
+        gt_lab, pred_lab = label_components(mk_mask(gt)), label_components(mk_mask(pred))
+        both = (gt_lab.labels > 0) & (pred_lab.labels > 0)
+        edges = np.unique(np.stack([gt_lab.labels[both], pred_lab.labels[both]]), axis=1)
+        adj = [[] for _ in range(gt_lab.count)]
+        for g, q in edges.T.tolist():
+            adj[g - 1].append(q - 1)
+        match_l = recursive_hopcroft_karp(adj, pred_lab.count)
+        res = match_instances(pred_lab, gt_lab)
+        assert res.pairs == tuple((g + 1, v + 1) for g, v in enumerate(match_l) if v != -1)
+        assert res.unmatched_gt == tuple(g + 1 for g, v in enumerate(match_l) if v == -1)
+        assert set(res.unmatched_pred) == set(range(1, pred_lab.count + 1)) - {
+            v for _, v in res.pairs}
+
+
+def test_chain_of_1200_lesions_is_fully_matched():
+    """A valid pair whose one augmenting path runs through all 1200 GTs."""
+    gt, pred = chain_pair(1200)
+    cm = case_metrics(mk_mask(pred), mk_mask(gt))
+    assert (cm.n_gt, cm.n_pred, cm.tp, cm.fp, cm.fn) == (1200, 1200, 1200, 0, 0)
+    assert cm.gt_detected.all()
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +267,17 @@ def test_case_metrics_empty_gt_has_undefined_lesion_metrics():
     assert cm.recall is None and cm.cc_dice is None
     assert cm.precision == 0.0  # the FP still counts against precision
     assert cm.n_gt == 0 and cm.fp == 1
+
+
+@pytest.mark.parametrize("n_lesions", [0, 1])
+def test_unknown_metric_is_rejected_before_any_work(n_lesions):
+    arr = np.zeros((4, 4, 4), dtype=bool)
+    arr[1, 1, 1] = n_lesions == 1
+    m = mk_mask(arr)
+    with pytest.raises(ValueError, match="metric"):
+        case_metrics(m, m, "chebyshev")
+    with pytest.raises(ValueError, match="metric"):
+        cc_dice(m, m, "chebyshev")
 
 
 def test_quartile_recall_hand_case():

@@ -82,8 +82,8 @@ def _load_prediction(path, threshold: float) -> BinaryMask:
 
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
-    try:  # not UTF-8, or a field over csv's size limit
-        records = list(csv.reader(_io.StringIO(path.read_text(encoding="utf-8"))))
+    try:  # not UTF-8, or a field over csv's size limit; a leading BOM is dropped
+        records = list(csv.reader(_io.StringIO(path.read_text(encoding="utf-8-sig"))))
     except (UnicodeError, csv.Error) as exc:
         raise VolumeFormatError(f"manifest {path}: {exc}") from exc
     header = records[0] if records else None
@@ -92,10 +92,12 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
             f"manifest {path} must start with header 'gt,pred', got {header}"
         )
     rows = []
-    for rec in records[1:]:  # gt and pred are the first two columns, as the header says
+    for row, rec in enumerate(records[1:], start=2):  # gt and pred lead, as the header says
         gt, pred = (f.strip() for f in (rec + ["", ""])[:2])
         if gt and pred:
             rows.append((gt, pred))
+        elif any(f.strip() for f in rec):
+            raise VolumeFormatError(f"manifest {path} row {row} needs both a gt and a pred path")
     return rows
 
 

@@ -5,11 +5,14 @@ components) are reported as ``None`` and excluded from aggregation; the
 aggregate keeps a count of them.
 
 CC-Dice needs the Voronoi region of a GT component only at the predicted
-voxels, so evaluation looks regions up there with
+voxels, so evaluation passes the prediction mask to
 ``voronoi.nearest_component`` and never builds the dense, lattice-wide
 partition. The lookup's cost grows with the predicted voxels outside the
-ground truth, and its memory with those voxels plus the components'
-boundary voxels.
+ground truth, and its memory with the predicted voxels plus the components'
+boundary voxels, and a few transient bool lattices.
+
+Matching reports only its pairs: the unmatched GT and predicted IDs are the
+complement of the paired IDs, and the counts follow from the pair count.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps 
 
 @dataclass(frozen=True)
 class MatchResult:
-    """One-to-one component matching; a pair shares at least one voxel."""
+    """One-to-one component matching; a pair shares at least one voxel.
+
+    IDs in no pair are unmatched: ``tp = len(pairs)``, ``fn = n_gt - tp``
+    and ``fp = n_pred - tp``.
+    """
 
     pairs: tuple[tuple[int, int], ...]  # (gt_id, pred_id)
-    unmatched_gt: tuple[int, ...]
-    unmatched_pred: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +94,8 @@ def cc_dice(
     """Mean over GT components C of Dice(P ∩ R_C, C); None for empty GT.
 
     ``lab`` may be passed to reuse the GT labeling. R_C is read only at the
-    predicted voxels, through ``nearest_component``.
+    predicted voxels: the prediction mask goes to ``nearest_component`` as
+    it is, with no coordinate list.
     """
     _check_metric(metric)
     require_same_grid(pred, gt)
@@ -99,9 +105,8 @@ def cc_dice(
         return None
 
     n = lab.count
-    p = pred.voxels
-    inter = np.bincount(lab.labels[p], minlength=n + 1)[1:]
-    region = nearest_component(lab, np.argwhere(p), metric)
+    inter = np.bincount(lab.labels[pred.voxels], minlength=n + 1)[1:]
+    region = nearest_component(lab, pred.voxels, metric)
     pred_in_region = np.bincount(region, minlength=n + 1)[1:]
     denom = pred_in_region + lab.volumes_vox
     return float(np.mean(2.0 * inter / denom))
@@ -198,11 +203,7 @@ def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> M
         adj[g - 1].append(p - 1)
     match_l = _hopcroft_karp(adj, pred_lab.count)
 
-    pairs = tuple((g + 1, v + 1) for g, v in enumerate(match_l) if v != -1)
-    matched_pred = {v for _, v in pairs}
-    unmatched_gt = tuple(g + 1 for g, v in enumerate(match_l) if v == -1)
-    unmatched_pred = tuple(p for p in range(1, pred_lab.count + 1) if p not in matched_pred)
-    return MatchResult(pairs, unmatched_gt, unmatched_pred)
+    return MatchResult(tuple((g + 1, v + 1) for g, v in enumerate(match_l) if v != -1))
 
 
 def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> CaseMetrics:

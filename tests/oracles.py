@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive (BFS flood fill, exhaustive matching
 via bitmask DP, central finite differences, DiceCE straight from its
-formula, a recursive Hopcroft–Karp) and shares no code with the package
-internals it checks.
+formula, a recursive Hopcroft–Karp, a voxel-by-voxel 6-boundary) and
+shares no code with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -179,6 +179,24 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
             if match_l[u] == -1:
                 dfs(u)
     return match_l
+
+
+_NEIGHBORS_6 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+def boundary_voxels(labels: np.ndarray) -> list[tuple[int, int, int]]:
+    """Every labeled voxel with an in-lattice 6-neighbour of another label."""
+    nx, ny, nz = labels.shape
+    out = []
+    for x, y, z in np.ndindex(labels.shape):
+        own = labels[x, y, z]
+        if own and any(
+            0 <= x + dx < nx and 0 <= y + dy < ny and 0 <= z + dz < nz
+            and labels[x + dx, y + dy, z + dz] != own
+            for dx, dy, dz in _NEIGHBORS_6
+        ):
+            out.append((x, y, z))
+    return out
 
 
 def random_mask_with_components(shape, n_components, seed, spacing=UNIT):

@@ -122,6 +122,25 @@ def test_eval_manifest_header_with_spaces_reads_its_cases(tmp_path):
     assert report["cases"][0]["metrics"]["dice"] == 1.0
 
 
+def test_eval_manifest_with_a_bom_reads_as_without(tmp_path):
+    # spreadsheet tools often save CSV with a UTF-8 byte order mark
+    sc = figure1_scenario()
+    write_volume(sc.gt, tmp_path / "gt.raw")
+    write_volume(sc.pred_partial, tmp_path / "pred.raw")
+    text = "gt,pred\ngt.raw,pred.raw\ngt.raw,gt.raw\n"
+    reports = []
+    for name, blob in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.csv").write_bytes(blob)
+        out = tmp_path / name
+        assert run_cli(["eval", "--manifest", str(tmp_path / f"{name}.csv"),
+                        "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads((out / "report.json").read_text()))
+    plain, bom = reports
+    assert len(plain["cases"]) == 2
+    for key in ("cases", "aggregate", "quartile_recall"):
+        assert bom[key] == plain[key]
+
+
 def test_eval_partial_failure(tmp_path):
     mask = mk_mask(np.ones((4, 4, 4), dtype=bool))
     write_volume(mask, tmp_path / "m.raw")
@@ -416,6 +435,7 @@ def _bad_inputs(d: Path) -> None:
     (d / "bad_crc.nii.gz").write_bytes(bytes(crc))
     (d / "not_utf8.csv").write_bytes(b"gt,pred\n\xffgt.raw,gt.raw\n")
     (d / "huge_field.csv").write_text("gt,pred\n" + "g" * 200_000 + ",gt.raw\n")
+    (d / "half_row.csv").write_text("gt,pred\ngt.raw,gt.raw\ngt.raw,\n,gt.raw\ngt.raw\n")
     _write_manifest(d / "ok.csv", [("gt.raw", "gt.raw")])
     (d / "masks").mkdir()
     write_volume(sc.gt, d / "masks" / "a.raw")
@@ -462,6 +482,8 @@ PROBES = [
                  EXIT_IO, "not_utf8.csv", id="eval-manifest-not-utf8"),
     pytest.param(["eval", "--manifest", "{d}/huge_field.csv", "--out", "{d}/o"],
                  EXIT_IO, "huge_field.csv", id="eval-manifest-huge-field"),
+    pytest.param(["eval", "--manifest", "{d}/half_row.csv", "--out", "{d}/o"],
+                 EXIT_IO, "half_row.csv", id="eval-manifest-half-row"),
     pytest.param(["eval", "--manifest", "{d}/ok.csv", "--out", "{d}/o", "--threshold", "0"],
                  EXIT_USAGE, None, id="eval-bad-threshold"),
     pytest.param(["stats", "--masks", "{d}/afile"],

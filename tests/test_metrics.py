@@ -131,8 +131,6 @@ def test_match_single_overlap():
     pred[1:3, 0:2, 0:2] = True
     res = match_instances(label_components(mk_mask(pred)), label_components(mk_mask(gt)))
     assert res.pairs == ((1, 1),)
-    assert res.unmatched_gt == ()
-    assert res.unmatched_pred == ()
 
 
 def test_one_pred_over_two_gt_matches_once():
@@ -143,11 +141,8 @@ def test_one_pred_over_two_gt_matches_once():
     pred[0:6] = True  # one blob covering both
     res = match_instances(label_components(mk_mask(pred)), label_components(mk_mask(gt)))
     assert len(res.pairs) == 1
-    assert len(res.unmatched_gt) == 1
-    assert res.unmatched_pred == ()
     # the documented choice: the pred goes to the lower GT ID
     assert res.pairs == ((1, 1),)
-    assert res.unmatched_gt == (2,)
 
 
 def test_disjoint_sets_match_nothing():
@@ -157,8 +152,6 @@ def test_disjoint_sets_match_nothing():
     pred[4, 4, 0] = True
     res = match_instances(label_components(mk_mask(pred)), label_components(mk_mask(gt)))
     assert res.pairs == ()
-    assert res.unmatched_gt == (1,)
-    assert res.unmatched_pred == (1,)
 
 
 def test_matching_is_maximum_on_random_graphs():
@@ -230,9 +223,6 @@ def test_overlap_edges_match_a_pairwise_stack_on_random_masks():
         match_l = recursive_hopcroft_karp(adj, pred_lab.count)
         res = match_instances(pred_lab, gt_lab)
         assert res.pairs == tuple((g + 1, v + 1) for g, v in enumerate(match_l) if v != -1)
-        assert res.unmatched_gt == tuple(g + 1 for g, v in enumerate(match_l) if v == -1)
-        assert set(res.unmatched_pred) == set(range(1, pred_lab.count + 1)) - {
-            v for _, v in res.pairs}
 
 
 def test_chain_of_1200_lesions_is_fully_matched():

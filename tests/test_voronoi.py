@@ -21,8 +21,8 @@ from lesionwise import (
     voronoi_partition_bruteforce,
 )
 import lesionwise.metrics
-from lesionwise.voronoi import _windows
-from oracles import UNIT, mk_mask
+from lesionwise.voronoi import _boundary_sites, _windows
+from oracles import UNIT, boundary_voxels, mk_mask
 
 # Spacings whose squares are exactly representable keep the physical-metric
 # float arithmetic exact at test scale, so tie comparisons are deterministic.
@@ -129,26 +129,28 @@ def _many_components(seed):
     return mask
 
 
-def _every_voxel(shape):
-    return np.argwhere(np.ones(shape, dtype=bool))
-
-
 # Non-dyadic spacings round the physical squared distances, so geometric ties
 # may or may not survive; the lookup must round them as the oracle does.
 @settings(max_examples=80, deadline=None)
 @given(
     st.one_of(tie_heavy_masks(), st.integers(0, 2**16).map(_many_components)),
     st.sampled_from([None, Spacing(0.9, 0.9, 3.0), Spacing(0.7, 1.3, 2.1)]),
+    st.integers(0, 2**32 - 1),
 )
-@example(_many_components(3), Spacing(0.7, 1.3, 2.1))
-def test_lookup_equals_bruteforce_at_every_voxel(mask, spacing):
+@example(_many_components(3), Spacing(0.7, 1.3, 2.1), 0)
+def test_lookup_equals_bruteforce_at_every_voxel(mask, spacing, seed):
     if spacing is not None:
         mask = mk_mask(mask.voxels, spacing)
     lab = label_components(mask)
-    pts = _every_voxel(mask.voxels.shape)
+    shape = mask.voxels.shape
+    # Raw predictions load x-fastest (F order); results follow C order either way.
+    rng = np.random.default_rng(seed)
+    subs = [rng.random(shape) < rng.uniform(0.05, 0.95) for _ in range(2)]
+    queries = [np.ones(shape, dtype=bool), subs[0], np.asfortranarray(subs[1])]
     for metric in ("voxel", "physical"):
         brute = voronoi_partition_bruteforce(lab, metric)
-        assert np.array_equal(nearest_component(lab, pts, metric), brute.region_of[tuple(pts.T)])
+        for q in queries:
+            assert np.array_equal(nearest_component(lab, q, metric), brute.region_of[q])
 
 
 def _two_sites(shape, a, b, spacing=UNIT):
@@ -158,25 +160,31 @@ def _two_sites(shape, a, b, spacing=UNIT):
     return label_components(mk_mask(arr, spacing))
 
 
+def _one_voxel(shape, at):
+    q = np.zeros(shape, dtype=bool)
+    q[at] = True
+    return q
+
+
 def test_lookup_of_no_points_is_empty():
     lab = _two_sites((5, 1, 1), (0, 0, 0), (4, 0, 0))
     for metric in ("voxel", "physical"):
-        out = nearest_component(lab, np.zeros((0, 3), dtype=np.int64), metric)
+        out = nearest_component(lab, np.zeros((5, 1, 1), dtype=bool), metric)
         assert out.shape == (0,)
 
 
 def test_lookup_inside_ground_truth_is_own_label():
     spec = random_instances_spec(Shape(12, 12, 12), DYADIC, 4, 5)
     _, lab = build_phantom(spec)
-    pts = np.argwhere(lab.labels > 0)
-    assert np.array_equal(nearest_component(lab, pts), lab.labels[tuple(pts.T)])
+    inside = lab.labels > 0
+    assert np.array_equal(nearest_component(lab, inside), lab.labels[inside])
 
 
 def test_lookup_with_one_component_is_all_ones():
     arr = np.zeros((6, 5, 4), dtype=bool)
     arr[2:4, 2, 1] = True
     lab = label_components(mk_mask(arr))
-    out = nearest_component(lab, _every_voxel(arr.shape), "physical")
+    out = nearest_component(lab, np.ones(arr.shape, dtype=bool), "physical")
     assert out.tolist() == [1] * arr.size
 
 
@@ -186,10 +194,35 @@ def test_lookup_on_axes_of_length_one(shape):
     arr.flat[0] = True
     arr.flat[-1] = True
     lab = label_components(mk_mask(arr, Spacing(0.9, 0.9, 3.0)))
-    pts = _every_voxel(shape)
+    every = np.ones(shape, dtype=bool)
     for metric in ("voxel", "physical"):
-        brute = voronoi_partition_bruteforce(lab, metric).region_of[tuple(pts.T)]
-        assert np.array_equal(nearest_component(lab, pts, metric), brute)
+        brute = voronoi_partition_bruteforce(lab, metric).region_of.ravel()
+        assert np.array_equal(nearest_component(lab, every, metric), brute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        tie_heavy_masks(),
+        # dense noise: components touch the lattice faces, axes may be 1 long
+        st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7),
+                  st.floats(0.1, 0.9), st.integers(0, 2**32 - 1)).map(
+            lambda t: mk_mask(np.random.default_rng(t[4]).random(t[:3]) < t[3])),
+    ),
+    st.booleans(),
+)
+@example(mk_mask(np.ones((4, 3, 2), dtype=bool)), False)
+@example(mk_mask(np.ones((1, 1, 5), dtype=bool)), True)
+@example(mk_mask(np.arange(9).reshape(9, 1, 1) % 3 == 0), False)
+@example(mk_mask(np.arange(25).reshape(5, 5, 1) % 4 != 1), True)
+def test_boundary_sites_are_the_literal_boundary(mask, fortran):
+    if fortran:
+        mask = mk_mask(np.asfortranarray(mask.voxels), mask.spacing)
+    lab = label_components(mask)
+    sites = _boundary_sites(lab)
+    assert sites.shape == (len(sites), 3)
+    assert len({tuple(p) for p in sites.tolist()}) == len(sites)
+    assert {tuple(p) for p in sites.tolist()} == set(boundary_voxels(lab.labels))
 
 
 def test_importing_the_package_does_not_import_scipy_spatial():
@@ -203,27 +236,22 @@ def test_importing_the_package_does_not_import_scipy_spatial():
     assert proc.stdout.strip() == "False"
 
 
-def test_lookup_rejects_points_off_the_lattice():
-    lab = _two_sites((5, 1, 1), (0, 0, 0), (4, 0, 0))
-    for bad in ([[5, 0, 0]], [[-1, 0, 0]]):
-        with pytest.raises(ValueError):
-            nearest_component(lab, bad)
-
-
-def test_lookup_rejects_non_integer_or_misshaped_points():
+def test_lookup_rejects_a_mask_of_another_shape_or_dtype():
     arr = np.zeros((9, 3, 3), dtype=bool)
     arr[0, 1, 1] = arr[8, 1, 1] = True
     lab = label_components(mk_mask(arr))
-    bad = ([[4.9, 1, 1]], np.array([[True, False, True]]), np.zeros(6, dtype=np.int64),
-           np.zeros((3, 2), dtype=np.int64), np.zeros((1, 3, 1), dtype=np.int64), [])
-    for points in bad:
-        with pytest.raises(ValueError, match=r"\(n, 3\) integer array"):
-            nearest_component(lab, points)
-    # integer lists and arrays of any integer dtype are accepted
-    assert nearest_component(lab, [[5, 1, 1]]).tolist() == [2]
-    assert nearest_component(lab, np.array([[5, 1, 1], [4, 1, 1]], dtype=np.uint8)).tolist() \
-        == [2, 1]
-    assert nearest_component(lab, np.zeros((0, 3), dtype=np.int32)).size == 0
+    bad = (np.ones((9, 3, 2), dtype=bool), np.ones((9, 3, 3, 1), dtype=bool),
+           np.ones(81, dtype=bool), np.ones((3, 3, 9), dtype=bool),
+           arr.astype(np.uint8), arr.astype(np.int64), arr.astype(float),
+           [[5, 1, 1]], np.array([[5, 1, 1]]), [])
+    for mask in bad:
+        with pytest.raises(ValueError, match=r"bool array of shape \(9, 3, 3\)"):
+            nearest_component(lab, mask)
+    # bool masks of either memory order are accepted
+    q = _one_voxel(arr.shape, (5, 1, 1))
+    q[4, 1, 1] = True
+    assert nearest_component(lab, q).tolist() == [1, 2]
+    assert nearest_component(lab, np.asfortranarray(q)).tolist() == [1, 2]
 
 
 def _record_tree_queries(monkeypatch):
@@ -248,7 +276,7 @@ def test_voxel_lookup_finds_a_tie_across_all_components(monkeypatch):
     arr[::2, ::2, ::2] = True
     lab = label_components(mk_mask(arr))
     assert lab.count == 8
-    assert nearest_component(lab, [(1, 1, 1)], "voxel").tolist() == [1]
+    assert nearest_component(lab, _one_voxel(arr.shape, (1, 1, 1)), "voxel").tolist() == [1]
     assert ks == [2, 4, 8]
 
 
@@ -269,7 +297,7 @@ def test_physical_lookup_doubles_k_on_tree_ties(monkeypatch):
     assert lab.count == 2
     q = (6, 6, 0)
     assert voronoi_partition_bruteforce(lab, "physical").region_of[q] == 1
-    assert nearest_component(lab, [q], "physical").tolist() == [1]
+    assert nearest_component(lab, _one_voxel(arr.shape, q), "physical").tolist() == [1]
     assert ks[:3] == [2, 4, 8]
 
 
@@ -342,7 +370,7 @@ def test_empty_ground_truth_raises():
     with pytest.raises(EmptyGroundTruthError):
         voronoi_partition_bruteforce(lab)
     with pytest.raises(EmptyGroundTruthError):
-        nearest_component(lab, [[0, 0, 0]])
+        nearest_component(lab, np.ones((3, 3, 3), dtype=bool))
 
 
 def test_invalid_metric_rejected():
@@ -352,4 +380,4 @@ def test_invalid_metric_rejected():
     with pytest.raises(ValueError):
         voronoi_partition(lab, "chebyshev")
     with pytest.raises(ValueError):
-        nearest_component(lab, [[0, 0, 0]], "chebyshev")
+        nearest_component(lab, np.ones((3, 3, 3), dtype=bool), "chebyshev")

@@ -236,13 +236,26 @@ def test_importing_the_package_does_not_import_scipy_spatial():
     assert proc.stdout.strip() == "False"
 
 
-def test_lookup_rejects_a_mask_of_another_shape_or_dtype():
+def _nine_by_three():
     arr = np.zeros((9, 3, 3), dtype=bool)
     arr[0, 1, 1] = arr[8, 1, 1] = True
-    lab = label_components(mk_mask(arr))
+    return arr, label_components(mk_mask(arr))
+
+
+def test_lookup_rejects_points_off_the_lattice():
+    # A mask of another shape would name voxels that are not on the labeling's lattice.
+    _, lab = _nine_by_three()
     bad = (np.ones((9, 3, 2), dtype=bool), np.ones((9, 3, 3, 1), dtype=bool),
-           np.ones(81, dtype=bool), np.ones((3, 3, 9), dtype=bool),
-           arr.astype(np.uint8), arr.astype(np.int64), arr.astype(float),
+           np.ones(81, dtype=bool), np.ones((3, 3, 9), dtype=bool))
+    for mask in bad:
+        with pytest.raises(ValueError, match=r"bool array of shape \(9, 3, 3\)"):
+            nearest_component(lab, mask)
+
+
+def test_lookup_rejects_non_integer_or_misshaped_points():
+    # The lookup takes a bool mask only: no other dtype, and no list of points.
+    arr, lab = _nine_by_three()
+    bad = (arr.astype(np.uint8), arr.astype(np.int64), arr.astype(float),
            [[5, 1, 1]], np.array([[5, 1, 1]]), [])
     for mask in bad:
         with pytest.raises(ValueError, match=r"bool array of shape \(9, 3, 3\)"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io as _io
 import json
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .components import label_components
 from .dataset_stats import corpus_stats
-from .io import VolumeFormatError, read_mask, read_volume, write_volume
+from .io import VolumeFormatError, _is_nifti_path, read_mask, read_volume, write_volume
 from .losses import LossKind, LossWeights, combined_loss, normalize_gradient
 from .metrics import METRIC_FIELDS, aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
@@ -240,10 +241,9 @@ def cmd_loss(args) -> int:
 
 def _iter_mask_files(directory: Path):
     for p in sorted(directory.iterdir()):
-        name = p.name.lower()
-        if name.endswith(".nii") or name.endswith(".nii.gz"):
+        if _is_nifti_path(p):
             yield p
-        elif not name.endswith(".json") and p.with_name(p.name + ".json").exists():
+        elif not p.name.lower().endswith(".json") and p.with_name(p.name + ".json").exists():
             yield p
 
 
@@ -268,15 +268,8 @@ def cmd_stats(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / "stats.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["cc_p25", "cc_p50", "cc_p75", "vol_mean_mm3", "vol_std_mm3",
-                 "n_scans", "n_components"]
-            )
-            writer.writerow(
-                [repr(stats.cc_p25), repr(stats.cc_p50), repr(stats.cc_p75),
-                 repr(stats.vol_mean_mm3), repr(stats.vol_std_mm3),
-                 stats.n_scans, stats.n_components]
-            )
+            writer.writerow([f.name for f in dataclasses.fields(stats)])
+            writer.writerow([repr(v) for v in dataclasses.astuple(stats)])
     return EXIT_OK
 
 

@@ -31,17 +31,15 @@ def corpus_stats(masks) -> CorpusStats:
     A scan with zero components contributes count 0 and no volumes. With no
     components anywhere the volume statistics are NaN.
     """
-    masks = list(masks)
-    if not masks:
-        raise ValueError("corpus_stats needs at least one mask")
-
     counts = []
     volumes = []
-    for mask in masks:
+    for mask in masks:  # one at a time: a corpus need not fit in memory
         lab = label_components(mask)
         counts.append(lab.count)
         if lab.count:
             volumes.append(lab.volumes_mm3)
+    if not counts:
+        raise ValueError("corpus_stats needs at least one mask")
 
     p25, p50, p75 = np.percentile(np.array(counts, dtype=float), [25.0, 50.0, 75.0])
     if volumes:
@@ -59,6 +57,6 @@ def corpus_stats(masks) -> CorpusStats:
         cc_p75=float(p75),
         vol_mean_mm3=vol_mean,
         vol_std_mm3=vol_std,
-        n_scans=len(masks),
+        n_scans=len(counts),
         n_components=int(pooled.size),
     )

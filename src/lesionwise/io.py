@@ -178,14 +178,14 @@ def _read_raw(path: Path, as_mask: bool):
         raise VolumeFormatError(f"sidecar {sidecar}: non-positive shape {shape!r}")
     dtype = RAW_DTYPES[header["dtype"]]
 
-    raw = path.read_bytes()
     expected = nx * ny * nz * dtype.itemsize
-    if len(raw) != expected:
+    size = path.stat().st_size  # before reading: a mismatched file may be huge
+    if size != expected:
         raise VolumeFormatError(
             f"{path}: expected {expected} bytes for shape {shape} dtype "
-            f"{header['dtype']}, found {len(raw)}"
+            f"{header['dtype']}, found {size}"
         )
-    arr = np.frombuffer(raw, dtype=dtype).reshape((nx, ny, nz), order="F")
+    arr = np.frombuffer(path.read_bytes(), dtype=dtype).reshape((nx, ny, nz), order="F")
     return _finish(arr, sp, as_mask, header["dtype"] == "f32", path)
 
 

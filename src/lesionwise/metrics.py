@@ -250,10 +250,9 @@ def quartile_recall(cases) -> QuartileRecall:
     half-open with the maximum closed: (-inf, b25], (b25, b50], (b50, b75],
     (b75, +inf).
     """
-    vols = np.concatenate([np.asarray(c.gt_volumes_mm3, dtype=float) for c in cases]) \
-        if cases else np.zeros(0)
-    det = np.concatenate([np.asarray(c.gt_detected, dtype=bool) for c in cases]) \
-        if cases else np.zeros(0, dtype=bool)
+    cases = list(cases)
+    vols = np.array([v for c in cases for v in c.gt_volumes_mm3], dtype=float)
+    det = np.array([d for c in cases for d in c.gt_detected], dtype=bool)
     if vols.size == 0:
         raise ValueError("quartile recall needs at least one ground-truth component")
 

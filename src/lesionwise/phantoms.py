@@ -1,8 +1,10 @@
 """Deterministic synthetic volumes for tests, demos and the CLI.
 
-Generators enforce a safety margin of at least two background voxels
-(Chebyshev distance >= 3) between components so the painted instance count
-always equals the labeled 26-connected component count.
+Every component is an axis-aligned box. One predicate on inclusive box
+corners, ``_too_close``, keeps at least two background voxels (a Chebyshev
+gap of 3 or more) between any two boxes, both where ``build_phantom`` checks
+a spec and where ``random_instances_spec`` places boxes, so the painted
+instance count always equals the labeled 26-connected component count.
 """
 
 from __future__ import annotations
@@ -11,37 +13,31 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .components import ComponentLabeling, label_components
 from .losses import LOGIT_CLAMP
 from .volumes import BinaryMask, LogitVolume, Shape, Spacing
 
-# Chebyshev-radius-2 neighborhood: two components whose dilations touch are
-# closer than the required two-voxel gap.
-_GAP_STRUCTURE = np.ones((5, 5, 5), dtype=bool)
+_GAP = 3  # least Chebyshev gap between boxes: two background voxels in between
+_EXTENT = 3  # longest side of a random box
+_TRIES = 2000  # boxes drawn by random_instances_spec before it gives up
 
 
 @dataclass(frozen=True)
 class ComponentSpec:
-    """One instance: an axis-aligned box or a voxel-index ball.
+    """One instance: an axis-aligned box of ``size`` (dx, dy, dz) voxels.
 
-    ``size`` is (dx, dy, dz) for boxes and a radius (in voxel indices) for
-    balls. The box spans ``center - (size - 1) // 2`` onward per axis.
+    The box spans ``center - (size - 1) // 2`` onward per axis. Boxes of one
+    phantom must leave at least two background voxels between each other
+    (the one gap rule, ``_too_close``).
     """
 
     center: tuple[int, int, int]
-    kind: str = "box"
-    size: tuple[int, int, int] | float = (1, 1, 1)
+    size: tuple[int, int, int] = (1, 1, 1)
 
     def __post_init__(self):
-        if self.kind not in ("box", "ball"):
-            raise ValueError(f"kind must be 'box' or 'ball', got {self.kind!r}")
-        if self.kind == "box":
-            if len(self.size) != 3 or any(int(d) < 1 for d in self.size):
-                raise ValueError(f"box size must be three positive ints, got {self.size!r}")
-        elif self.size < 0:
-            raise ValueError(f"ball radius must be >= 0, got {self.size!r}")
+        if len(self.size) != 3 or any(int(d) < 1 for d in self.size):
+            raise ValueError(f"box size must be three positive ints, got {self.size!r}")
 
 
 @dataclass(frozen=True)
@@ -49,48 +45,50 @@ class PhantomSpec:
     shape: Shape
     spacing: Spacing
     components: tuple[ComponentSpec, ...]
-    seed: int = 0
 
 
-def _paint(spec: ComponentSpec, shape: Shape) -> np.ndarray:
-    out = np.zeros(shape.as_tuple(), dtype=bool)
-    cx, cy, cz = spec.center
-    if spec.kind == "box":
-        dx, dy, dz = (int(d) for d in spec.size)
-        x0, y0, z0 = cx - (dx - 1) // 2, cy - (dy - 1) // 2, cz - (dz - 1) // 2
-        if x0 < 0 or y0 < 0 or z0 < 0 or x0 + dx > shape.nx or y0 + dy > shape.ny \
-                or z0 + dz > shape.nz:
-            raise ValueError(f"component {spec} exceeds the volume bounds")
-        out[x0 : x0 + dx, y0 : y0 + dy, z0 : z0 + dz] = True
-    else:
-        r = float(spec.size)
-        ri = int(np.floor(r))
-        if min(cx - ri, cy - ri, cz - ri) < 0 or cx + ri >= shape.nx \
-                or cy + ri >= shape.ny or cz + ri >= shape.nz:
-            raise ValueError(f"component {spec} exceeds the volume bounds")
-        gx = np.arange(shape.nx).reshape(-1, 1, 1) - cx
-        gy = np.arange(shape.ny).reshape(1, -1, 1) - cy
-        gz = np.arange(shape.nz).reshape(1, 1, -1) - cz
-        out = gx * gx + gy * gy + gz * gz <= r * r
-    return out
+_Box = tuple[np.ndarray, np.ndarray]  # inclusive lowest and highest voxel index
+
+
+def _corners(comp: ComponentSpec) -> _Box:
+    size = np.array([int(d) for d in comp.size])
+    lo = np.array(comp.center) - (size - 1) // 2
+    return lo, lo + size - 1
+
+
+def _slices(box: _Box) -> tuple[slice, ...]:
+    lo, hi = box
+    return tuple(map(slice, lo, hi + 1))
+
+
+def _too_close(a: _Box, b: _Box) -> bool:
+    """Whether fewer than two background voxels separate boxes ``a`` and ``b``."""
+    (a_lo, a_hi), (b_lo, b_hi) = a, b
+    return np.max(np.maximum(b_lo - a_hi, a_lo - b_hi)) < _GAP
 
 
 def build_phantom(spec: PhantomSpec) -> tuple[BinaryMask, ComponentLabeling]:
     """Paint the phantom and label it; exactly one component per spec entry.
 
-    Raises ValueError if any two components come closer than a two-voxel
-    background gap (Chebyshev distance < 3) or leave the volume.
+    Components are checked in spec order, each against the volume bounds and
+    then against the earlier ones. Raises ValueError at the first that leaves
+    the volume or comes closer than a two-voxel background gap (Chebyshev
+    distance < 3) to an earlier one.
     """
     if not spec.components:
         raise ValueError("phantom needs at least one component")
     painted = np.zeros(spec.shape.as_tuple(), dtype=bool)
+    boxes: list[_Box] = []
     for i, comp in enumerate(spec.components):
-        vox = _paint(comp, spec.shape)
-        if ndimage.binary_dilation(vox, structure=_GAP_STRUCTURE)[painted].any():
+        lo, hi = box = _corners(comp)
+        if np.any(lo < 0) or np.any(hi >= spec.shape.as_tuple()):
+            raise ValueError(f"component {comp} exceeds the volume bounds")
+        if any(_too_close(box, earlier) for earlier in boxes):
             raise ValueError(
                 f"component {i} is closer than the required 2-voxel gap to an earlier one"
             )
-        painted |= vox
+        boxes.append(box)
+        painted[_slices(box)] = True
 
     mask = BinaryMask(painted, spec.spacing)
     lab = label_components(mask)
@@ -102,48 +100,27 @@ def build_phantom(spec: PhantomSpec) -> tuple[BinaryMask, ComponentLabeling]:
 
 
 def random_instances_spec(
-    shape: Shape,
-    spacing: Spacing,
-    n_components: int,
-    seed: int,
-    max_extent: int = 3,
-    max_tries: int = 2000,
+    shape: Shape, spacing: Spacing, n_components: int, seed: int
 ) -> PhantomSpec:
     """Randomly place ``n_components`` well-separated boxes; deterministic per seed."""
     if n_components < 1:
         raise ValueError("need at least one component")
     rng = np.random.default_rng(seed)
-    boxes: list[tuple[np.ndarray, np.ndarray]] = []  # (start, dims)
-    for _ in range(max_tries):
-        if len(boxes) == n_components:
+    comps: list[ComponentSpec] = []
+    for _ in range(_TRIES):
+        if len(comps) == n_components:
             break
-        dims = np.array(
-            [rng.integers(1, min(max_extent, n) + 1) for n in shape.as_tuple()]
-        )
-        start = np.array(
-            [rng.integers(0, n - d + 1) for n, d in zip(shape.as_tuple(), dims)]
-        )
-        ok = True
-        for s0, d0 in boxes:
-            axis_gap = np.maximum(start - (s0 + d0 - 1), s0 - (start + dims - 1))
-            if np.max(axis_gap) < 3:  # Chebyshev distance between the boxes
-                ok = False
-                break
-        if ok:
-            boxes.append((start, dims))
-    if len(boxes) < n_components:
+        dims = np.array([rng.integers(1, min(_EXTENT, n) + 1) for n in shape.as_tuple()])
+        lo = np.array([rng.integers(0, n - d + 1) for n, d in zip(shape.as_tuple(), dims)])
+        center = tuple(int(c) for c in lo + (dims - 1) // 2)
+        comp = ComponentSpec(center, tuple(int(d) for d in dims))
+        if not any(_too_close(_corners(comp), _corners(placed)) for placed in comps):
+            comps.append(comp)
+    if len(comps) < n_components:
         raise ValueError(
             f"could not place {n_components} separated components in {shape.as_tuple()}"
         )
-    comps = tuple(
-        ComponentSpec(
-            center=tuple(int(s + (d - 1) // 2) for s, d in zip(start, dims)),
-            kind="box",
-            size=tuple(int(d) for d in dims),
-        )
-        for start, dims in boxes
-    )
-    return PhantomSpec(shape=shape, spacing=spacing, components=comps, seed=seed)
+    return PhantomSpec(shape=shape, spacing=spacing, components=tuple(comps))
 
 
 def _saturated(fg: np.ndarray, spacing: Spacing) -> LogitVolume:
@@ -170,9 +147,9 @@ def figure1_scenario() -> Figure1Scenario:
     starts = (3, 12, 21, 30)
 
     big = [
-        ComponentSpec(center=(4, 4, 4), kind="box", size=(4, 3, 3)),  # 36 vox
-        ComponentSpec(center=(4, 13, 4), kind="box", size=(4, 3, 3)),  # 36 vox
-        ComponentSpec(center=(6, 21, 3), kind="box", size=(7, 2, 2)),  # 28 vox
+        ComponentSpec(center=(4, 4, 4), size=(4, 3, 3)),  # 36 vox
+        ComponentSpec(center=(4, 13, 4), size=(4, 3, 3)),  # 36 vox
+        ComponentSpec(center=(6, 21, 3), size=(7, 2, 2)),  # 28 vox
     ]
     small = [
         ComponentSpec(center=(starts[i] + 2, starts[j] + 2, 4))
@@ -185,7 +162,7 @@ def figure1_scenario() -> Figure1Scenario:
 
     big_fg = np.zeros(shape.as_tuple(), dtype=bool)
     for comp in big:
-        big_fg |= _paint(comp, shape)
+        big_fg[_slices(_corners(comp))] = True
     return Figure1Scenario(
         gt=gt,
         pred_perfect=_saturated(gt.voxels, spacing),
@@ -215,8 +192,8 @@ def figure2_scenario() -> Figure2Scenario:
         shape,
         spacing,
         (
-            ComponentSpec(center=(5, 6, 1), kind="box", size=(8, 6, 1)),  # large
-            ComponentSpec(center=(27, 12, 1), kind="box", size=(2, 2, 1)),  # small
+            ComponentSpec(center=(5, 6, 1), size=(8, 6, 1)),  # large
+            ComponentSpec(center=(27, 12, 1), size=(2, 2, 1)),  # small
         ),
     )
     gt, _ = build_phantom(spec)
@@ -224,6 +201,7 @@ def figure2_scenario() -> Figure2Scenario:
     fp = np.zeros(shape.as_tuple(), dtype=bool)
     fp[14:16, 1:3, 1] = True
 
-    large = _paint(spec.components[0], shape)
-    logits = LogitVolume(np.where(large | fp, 6.0, -6.0), spacing)
+    fg = fp.copy()
+    fg[_slices(_corners(spec.components[0]))] = True  # the large instance
+    logits = LogitVolume(np.where(fg, 6.0, -6.0), spacing)
     return Figure2Scenario(gt=gt, logits=logits, fp_blob=fp)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive (BFS flood fill, exhaustive matching
 via bitmask DP, central finite differences, DiceCE straight from its
-formula, a recursive Hopcroft–Karp, a voxel-by-voxel 6-boundary) and
-shares no code with the package internals it checks.
+formula, a recursive Hopcroft–Karp, a voxel-by-voxel 6-boundary, a dilated
+gap check) and shares no code with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from collections import deque
 from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
 
 from lesionwise import BinaryMask, LogitVolume, Spacing
 
@@ -197,6 +198,13 @@ def boundary_voxels(labels: np.ndarray) -> list[tuple[int, int, int]]:
         ):
             out.append((x, y, z))
     return out
+
+
+def closer_than_two_voxels(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether mask ``second`` meets the 5x5x5 dilation of mask ``first``: fewer
+    than two background voxels (Chebyshev distance < 3) lie between them."""
+    near = ndimage.binary_dilation(first, structure=np.ones((5, 5, 5), dtype=bool))
+    return bool(near[second].any())
 
 
 def random_mask_with_components(shape, n_components, seed, spacing=UNIT):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -64,5 +66,22 @@ def test_all_empty_corpus_has_nan_volume_stats():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(ValueError):
-        corpus_stats([])
+    for masks in ([], iter([])):
+        with pytest.raises(ValueError, match="at least one mask"):
+            corpus_stats(masks)
+
+
+def test_masks_are_released_as_they_arrive():
+    counts = (3, 0, 5, 1, 2)
+    alive = []
+
+    def masks():
+        for n in counts:
+            gc.collect()
+            # the mask being labeled last may still be referenced, no older one
+            assert sum(ref() is not None for ref in alive) <= 1
+            mask = _mask_with_n_points(n)
+            alive.append(weakref.ref(mask))
+            yield mask
+
+    assert corpus_stats(masks()) == corpus_stats([_mask_with_n_points(n) for n in counts])

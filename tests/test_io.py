@@ -1,6 +1,7 @@
 import gzip
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ def test_raw_errors(tmp_path):
     }))
     with pytest.raises(VolumeFormatError, match="non-positive"):
         read_volume(path)
+
+
+def test_raw_size_is_checked_before_the_file_is_read(tmp_path):
+    path = tmp_path / "big.raw"
+    with path.open("wb") as fh:
+        fh.truncate(16 << 20)  # 16 MiB of zeros, sparse on disk
+    path.with_name("big.raw.json").write_text(json.dumps({
+        "shape": [4, 4, 4], "spacing": [1, 1, 1], "dtype": "u8", "order": "x-fastest"
+    }))
+    tracemalloc.start()
+    try:
+        with pytest.raises(VolumeFormatError,
+                           match=rf"expected 64 bytes for shape \[4, 4, 4\] dtype u8, found {16 << 20}$"):
+            read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["x.raw", "x.nii", "x.nii.gz"])
+def test_writer_rejects_a_non_volume(tmp_path, name):
+    with pytest.raises(TypeError, match="cannot write volume of type ndarray"):
+        write_volume(np.zeros((2, 2, 2), dtype=bool), tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 def test_read_mask_treats_any_nonzero_as_foreground(tmp_path):

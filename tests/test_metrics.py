@@ -154,6 +154,13 @@ def test_disjoint_sets_match_nothing():
     assert res.pairs == ()
 
 
+def test_match_rejects_labelings_of_different_grids():
+    pred = label_components(mk_mask(np.ones((2, 2, 2), dtype=bool)))
+    gt = label_components(mk_mask(np.ones((2, 2, 3), dtype=bool)))
+    with pytest.raises(ValueError, match="labelings cover different grids"):
+        match_instances(pred, gt)
+
+
 def test_matching_is_maximum_on_random_graphs():
     rng = np.random.default_rng(17)
     for _ in range(60):
@@ -296,8 +303,9 @@ def test_quartile_recall_empty_bucket_is_undefined():
 
 
 def test_quartile_recall_requires_components():
-    with pytest.raises(ValueError):
-        quartile_recall([_case([], [])])
+    for cases in ([_case([], [])], [], iter([])):
+        with pytest.raises(ValueError, match="at least one ground-truth component"):
+            quartile_recall(cases)
 
 
 def test_pooled_recall_consistency():
@@ -309,6 +317,7 @@ def test_pooled_recall_consistency():
         det = rng.random(n) < 0.6
         cases.append(_case(vols, det))
     qr = quartile_recall(cases)
+    assert quartile_recall(iter(cases)) == qr
     assert sum(qr.detected) == sum(int(c.gt_detected.sum()) for c in cases)
     assert sum(qr.total) == sum(c.n_gt for c in cases)
     pooled = sum(qr.detected) / sum(qr.total)

@@ -42,11 +42,13 @@ def test_volumes_are_immutable():
         l.voxels[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("shape, axis", [((0, 3, 3), "x"), ((3, 0, 3), "y"), ((3, 3, 0), "z")],
-                         ids=["x", "y", "z"])
-def test_zero_voxel_lattice_is_rejected(shape, axis):
+@pytest.mark.parametrize("shape, message", [
+    ((0, 3, 3), "no voxels along x"), ((3, 0, 3), "no voxels along y"),
+    ((3, 3, 0), "no voxels along z"), ((3, 3), "expected a 3D voxel grid, got ndim=2"),
+], ids=["x", "y", "z", "2d"])
+def test_zero_voxel_lattice_is_rejected(shape, message):
     for cls in (BinaryMask, LogitVolume):
-        with pytest.raises(ValueError, match=f"no voxels along {axis}"):
+        with pytest.raises(ValueError, match=message):
             cls(np.zeros(shape), UNIT)
 
 

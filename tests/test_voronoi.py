@@ -149,6 +149,7 @@ def test_lookup_equals_bruteforce_at_every_voxel(mask, spacing, seed):
     queries = [np.ones(shape, dtype=bool), subs[0], np.asfortranarray(subs[1])]
     for metric in ("voxel", "physical"):
         brute = voronoi_partition_bruteforce(lab, metric)
+        assert np.array_equal(voronoi_partition(lab, metric).region_of, brute.region_of)
         for q in queries:
             assert np.array_equal(nearest_component(lab, q, metric), brute.region_of[q])
 

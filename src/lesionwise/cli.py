@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .components import label_components
 from .dataset_stats import corpus_stats
-from .io import VolumeFormatError, _is_nifti_path, read_mask, read_volume, write_volume
+from .io import (VolumeFormatError, _is_nifti_path, _sidecar_path, read_mask, read_volume,
+                 write_volume)
 from .losses import LossKind, LossWeights, combined_loss, normalize_gradient
 from .metrics import METRIC_FIELDS, aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
@@ -43,6 +44,9 @@ EXIT_IO = 2
 EXIT_PARTIAL = 3
 
 TIE_POLICY = "lowest-component-id"
+
+# ``phantom --name`` choices; each writes its scenario's volume fields by name.
+SCENARIOS = {"figure1": figure1_scenario, "figure2": figure2_scenario}
 
 # A case's report fields: ``METRIC_FIELDS`` (floats, null when undefined) and
 # these counts, in this order in ``report.json`` and ``cases.csv``.
@@ -73,13 +77,6 @@ def _num(x):
         return None
     x = float(x)
     return None if np.isnan(x) else x
-
-
-def _load_prediction(path, threshold: float) -> BinaryMask:
-    vol = read_volume(path)
-    if isinstance(vol, LogitVolume):
-        return binarize(vol, threshold)
-    return vol
 
 
 def _read_manifest(path: Path) -> list[tuple[str, str]]:
@@ -123,31 +120,26 @@ def cmd_eval(args) -> int:
     def run_case(row):
         gt_rel, pred_rel = row
         gt = read_mask(base / gt_rel)
-        pred = _load_prediction(base / pred_rel, args.threshold)
+        pred = read_volume(base / pred_rel)
+        if isinstance(pred, LogitVolume):
+            pred = binarize(pred, args.threshold)
         return case_metrics(pred, gt, metric=args.distance)
 
-    results = []
+    case_records, ok_metrics = [], []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_case, row) for row in rows]
-        for row, fut in zip(rows, futures):
+        for idx, ((gt_rel, pred_rel), fut) in enumerate(zip(rows, futures)):
+            rec = {"index": idx, "gt": gt_rel, "pred": pred_rel}
             try:
-                results.append((row, fut.result(), None))
+                cm = fut.result()
             except INPUT_ERRORS as exc:
-                results.append((row, None, f"{type(exc).__name__}: {exc}"))
-
-    case_records = []
-    ok_metrics = []
-    for idx, ((gt_rel, pred_rel), cm, err) in enumerate(results):
-        rec = {"index": idx, "gt": gt_rel, "pred": pred_rel}
-        if err is None:
-            rec["status"] = "ok"
-            rec["metrics"] = {f: _num(getattr(cm, f)) for f in METRIC_FIELDS}
-            rec["metrics"].update((f, getattr(cm, f)) for f in COUNT_FIELDS)
-            ok_metrics.append(cm)
-        else:
-            rec["status"] = "error"
-            rec["error"] = err
-        case_records.append(rec)
+                rec.update(status="error", error=f"{type(exc).__name__}: {exc}")
+            else:
+                rec["status"] = "ok"
+                rec["metrics"] = {f: _num(getattr(cm, f)) for f in METRIC_FIELDS}
+                rec["metrics"].update((f, getattr(cm, f)) for f in COUNT_FIELDS)
+                ok_metrics.append(cm)
+            case_records.append(rec)
 
     agg_rec = None
     if ok_metrics:
@@ -170,11 +162,11 @@ def cmd_eval(args) -> int:
             "total": list(qr.total),
         }
 
-    n_failed = sum(1 for _, _, err in results if err is not None)
+    n_failed = len(rows) - len(ok_metrics)
     report = {
         "schema_version": 1,
         "tool": {"name": "lesionwise", "version": __version__},
-        "config": _config_echo(args, command="eval"),
+        "config": _config_echo(args),
         "cases": case_records,
         "aggregate": agg_rec,
         "quartile_recall": qr_rec,
@@ -203,16 +195,9 @@ def _write_cases_csv(path: Path, case_records) -> None:
             )
 
 
-def _config_echo(args, command: str) -> dict:
-    cfg = {"command": command}
-    for key in (
-        "manifest", "gt", "logits", "masks", "name", "out",
-        "loss", "w_global", "w_instance", "w_dice", "w_ce",
-        "threshold", "distance", "empty_gt", "format",
-    ):
-        if hasattr(args, key):
-            val = getattr(args, key)
-            cfg[key] = str(val) if isinstance(val, Path) else val
+def _config_echo(args) -> dict:
+    """Every option the command parsed, in the parser's order, then the tie policy."""
+    cfg = {key: val for key, val in vars(args).items() if key != "func"}
     cfg["tie_policy"] = TIE_POLICY
     return cfg
 
@@ -232,24 +217,17 @@ def cmd_loss(args) -> int:
 
     payload = {
         "tool": {"name": "lesionwise", "version": __version__},
-        "config": _config_echo(args, command="loss"),
+        "config": _config_echo(args),
         "loss": _num(value),
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-def _iter_mask_files(directory: Path):
-    for p in sorted(directory.iterdir()):
-        if _is_nifti_path(p):
-            yield p
-        elif not p.name.lower().endswith(".json") and p.with_name(p.name + ".json").exists():
-            yield p
-
-
 def cmd_stats(args) -> int:
     directory = Path(args.masks)
-    paths = list(_iter_mask_files(directory))
+    paths = [p for p in sorted(directory.iterdir()) if _is_nifti_path(p)
+             or (not p.name.lower().endswith(".json") and _sidecar_path(p).exists())]
     if not paths:
         raise ValueError(f"no volumes found in {directory}")
     stats = corpus_stats(read_mask(p) for p in paths)
@@ -277,15 +255,9 @@ def cmd_phantom(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = ".nii" if args.volume_format == "nifti" else ".raw"
-    if args.name == "figure1":
-        sc = figure1_scenario()
-        write_volume(sc.gt, out_dir / f"gt{ext}")
-        write_volume(sc.pred_perfect, out_dir / f"pred_perfect{ext}")
-        write_volume(sc.pred_partial, out_dir / f"pred_partial{ext}")
-    else:
-        sc = figure2_scenario()
-        write_volume(sc.gt, out_dir / f"gt{ext}")
-        write_volume(sc.logits, out_dir / f"logits{ext}")
+    for field, vol in SCENARIOS[args.name]()._asdict().items():
+        if isinstance(vol, (BinaryMask, LogitVolume)):  # not figure 2's bare fp_blob grid
+            write_volume(vol, out_dir / f"{field}{ext}")
     return EXIT_OK
 
 
@@ -295,14 +267,6 @@ def cmd_voronoi(args) -> int:
     # Region IDs exported as f32; exact for any realistic component count.
     write_volume(LogitVolume(part.region_of, gt.spacing), args.out)
     return EXIT_OK
-
-
-def _add_common_loss_flags(p):
-    p.add_argument("--loss", choices=[k.value for k in LossKind], default="cc-dicece")
-    p.add_argument("--w-global", dest="w_global", type=float, default=1.0)
-    p.add_argument("--w-instance", dest="w_instance", type=float, default=1.0)
-    p.add_argument("--w-dice", dest="w_dice", type=float, default=1.0)
-    p.add_argument("--w-ce", dest="w_ce", type=float, default=1.0)
 
 
 def build_parser() -> _Parser:
@@ -323,7 +287,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("loss", help="compute a loss (and optionally its gradient map)")
     p.add_argument("--gt", required=True)
     p.add_argument("--logits", required=True)
-    _add_common_loss_flags(p)
+    p.add_argument("--loss", choices=[k.value for k in LossKind], default="cc-dicece")
+    p.add_argument("--w-global", dest="w_global", type=float, default=1.0)
+    p.add_argument("--w-instance", dest="w_instance", type=float, default=1.0)
+    p.add_argument("--w-dice", dest="w_dice", type=float, default=1.0)
+    p.add_argument("--w-ce", dest="w_ce", type=float, default=1.0)
     p.add_argument("--distance", choices=VALID_METRICS, default="voxel")
     p.add_argument("--grad-out", dest="grad_out", default=None,
                    help="write the per-voxel gradient volume here")
@@ -337,7 +305,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("phantom", help="write a built-in phantom scenario to disk")
-    p.add_argument("--name", choices=["figure1", "figure2"], required=True)
+    p.add_argument("--name", choices=list(SCENARIOS), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--volume-format", dest="volume_format", choices=["raw", "nifti"],
                    default="raw")

@@ -144,9 +144,9 @@ def _read_raw(path: Path, as_mask: bool):
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise VolumeFormatError(f"missing raw sidecar header: {sidecar}")
-    try:  # bad JSON or bad UTF-8
+    try:  # bad JSON, bad UTF-8, or arrays nested past the recursion limit
         header = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise VolumeFormatError(f"malformed sidecar {sidecar}: {exc}") from exc
 
     for key in ("shape", "spacing", "dtype", "order"):
@@ -194,9 +194,12 @@ def _read_raw(path: Path, as_mask: bool):
 # ---------------------------------------------------------------------------
 
 def _read_nifti(path: Path, as_mask: bool):
-    blob = path.read_bytes()
-    if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
+    with path.open("rb") as fh:
+        blob = fh.read(348)  # a .nii's header is checked before its data is read
+        gz = blob[:2] == b"\x1f\x8b"
+        if gz:  # a .nii.gz is inflated whole
+            fh.seek(0)
+            blob = gzip.decompress(fh.read())
     if len(blob) < 348:
         raise VolumeFormatError(
             f"{path}: NIfTI header truncated at byte {len(blob)} (need 348)"
@@ -266,12 +269,16 @@ def _read_nifti(path: Path, as_mask: bool):
 
     dtype = _NIFTI_DTYPES[datatype].newbyteorder(endian)
     expected = nx * ny * nz * dtype.itemsize
-    if len(blob) < offset + expected:
+    size = len(blob) if gz else path.stat().st_size  # a .nii's data is not read yet
+    if size < offset + expected:
         raise VolumeFormatError(
             f"{path}: data truncated, need {expected} bytes at offset {offset}, "
-            f"file holds {len(blob) - offset}"
+            f"file holds {size - offset}"
         )
-    arr = np.frombuffer(blob, dtype=dtype, count=nx * ny * nz, offset=offset)
+    if gz:
+        arr = np.frombuffer(blob, dtype=dtype, count=nx * ny * nz, offset=offset)
+    else:
+        arr = np.fromfile(path, dtype=dtype, count=nx * ny * nz, offset=offset)
     arr = arr.reshape((nx, ny, nz), order="F")
     return _finish(arr, sp, as_mask, datatype == 16, path)
 

@@ -5,7 +5,7 @@ components) are reported as ``None`` and excluded from aggregation; the
 aggregate keeps a count of them.
 
 CC-Dice needs the Voronoi region of a GT component only at the predicted
-voxels, so evaluation passes the prediction mask to
+voxels, so evaluation looks the regions up at those voxels with the kernel of
 ``voronoi.nearest_component`` and never builds the dense, lattice-wide
 partition. The lookup's cost grows with the predicted voxels outside the
 ground truth, and its memory with the predicted voxels plus the components'
@@ -24,7 +24,7 @@ import numpy as np
 
 from .components import ComponentLabeling, label_components
 from .volumes import BinaryMask, require_same_grid
-from .voronoi import _check_metric, nearest_component
+from .voronoi import _check_metric, _nearest_at
 from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps this attribute
 
 
@@ -93,9 +93,9 @@ def cc_dice(
 ) -> float | None:
     """Mean over GT components C of Dice(P ∩ R_C, C); None for empty GT.
 
-    ``lab`` may be passed to reuse the GT labeling. R_C is read only at the
-    predicted voxels: the prediction mask goes to ``nearest_component`` as
-    it is, with no coordinate list.
+    ``lab`` may be passed to reuse the GT labeling. The prediction mask is
+    scanned once, for the C-order indices of its voxels; the intersections
+    and R_C are both read at those indices only.
     """
     _check_metric(metric)
     require_same_grid(pred, gt)
@@ -105,8 +105,9 @@ def cc_dice(
         return None
 
     n = lab.count
-    inter = np.bincount(lab.labels[pred.voxels], minlength=n + 1)[1:]
-    region = nearest_component(lab, pred.voxels, metric)
+    flat = np.flatnonzero(pred.voxels)
+    inter = np.bincount(lab.labels.ravel()[flat], minlength=n + 1)[1:]
+    region = _nearest_at(lab, flat, metric)
     pred_in_region = np.bincount(region, minlength=n + 1)[1:]
     denom = pred_in_region + lab.volumes_vox
     return float(np.mean(2.0 * inter / denom))

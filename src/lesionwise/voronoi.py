@@ -316,8 +316,11 @@ def nearest_component(lab: ComponentLabeling, mask, metric: str = "voxel") -> np
                          f"of shape {mask.shape}")
     if lab.count < 1:
         raise EmptyGroundTruthError("cannot look up Voronoi regions: no components")
+    return _nearest_at(lab, np.flatnonzero(mask), metric)  # C order, as lab.labels[mask]
 
-    flat = np.flatnonzero(mask)  # C order, as lab.labels[mask]
+
+def _nearest_at(lab: ComponentLabeling, flat: np.ndarray, metric: str) -> np.ndarray:
+    """``nearest_component`` at the C-order linear indices ``flat``, unchecked."""
     if lab.count == 1:
         return np.ones(flat.size, dtype=np.int32)
     region = lab.labels.ravel()[flat]
@@ -326,7 +329,7 @@ def nearest_component(lab: ComponentLabeling, mask, metric: str = "voxel") -> np
         return region
     from scipy.spatial import cKDTree  # lazy: importing scipy.spatial is slow
 
-    points = np.stack(np.unravel_index(flat[todo], shape), axis=1)
+    points = np.stack(np.unravel_index(flat[todo], lab.labels.shape), axis=1)
     sites = _boundary_sites(lab)
     owner = lab.labels[tuple(sites.T)]
     scale = _scale(metric, lab.spacing)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -183,6 +184,39 @@ def test_eval_reports_are_thread_count_invariant(tmp_path, monkeypatch, figure1_
     assert outputs[0] == outputs[1]
 
 
+# sha256 of (report.json, cases.csv) for the manifest of
+# test_eval_report_bytes_are_pinned, per --distance
+REPORT_DIGESTS = {
+    "voxel": ("9e0c009be1ad164c94eca00da1487ccd00c7c21a3ab6226a7024253d1b49ab15",
+              "ddd1044f469d2a71e73c7a539508610724ec36b764fc406fa245b3d4f05a26da"),
+    "physical": ("11b00797f0cd3edbcd459247f79f674f6746915f57dd2951e53f9a13c6603dea",
+                 "ddd1044f469d2a71e73c7a539508610724ec36b764fc406fa245b3d4f05a26da"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("distance", ["voxel", "physical"])
+def test_eval_report_bytes_are_pinned(tmp_path, monkeypatch, distance, threads):
+    f1, f2 = figure1_scenario(), figure2_scenario()
+    write_volume(f1.gt, tmp_path / "gt1.raw")
+    write_volume(f1.pred_partial, tmp_path / "partial1.raw")
+    write_volume(f2.gt, tmp_path / "gt2.raw")
+    write_volume(f2.logits, tmp_path / "logits2.raw")
+    _write_manifest(tmp_path / "cases.csv", [
+        ("gt1.raw", "partial1.raw"),
+        ("gt2.raw", "logits2.raw"),
+        ("gt2.raw", "gt2.raw"),
+        ("gt1.raw", "missing.raw"),
+    ])
+    monkeypatch.chdir(tmp_path)  # relative paths, so the echoed config is stable
+    monkeypatch.setenv("LESIONWISE_THREADS", threads)
+    assert run_cli(["eval", "--manifest", "cases.csv", "--out", "out",
+                    "--distance", distance]) == EXIT_PARTIAL
+    digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                    for name in ("report.json", "cases.csv"))
+    assert digests == REPORT_DIGESTS[distance]
+
+
 def test_loss_command_reproduces_figure1_value(figure1_files, capsys):
     code = run_cli([
         "loss",
@@ -195,6 +229,17 @@ def test_loss_command_reproduces_figure1_value(figure1_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["loss"] == pytest.approx(0.8125, abs=1e-9)
     assert payload["config"]["loss"] == "cc-dicece"
+
+
+def test_loss_command_echoes_every_option(figure1_files, capsys):
+    assert run_cli(["loss", "--gt", str(figure1_files / "gt.raw"),
+                    "--logits", str(figure1_files / "pred_partial.raw"),
+                    "--normalized"]) == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config) == ["command", "gt", "logits", "loss", "w_global", "w_instance",
+                            "w_dice", "w_ce", "distance", "grad_out", "normalized",
+                            "tie_policy"]
+    assert (config["command"], config["grad_out"], config["normalized"]) == ("loss", None, True)
 
 
 def test_loss_command_gradient_export(figure1_files, tmp_path):
@@ -423,6 +468,7 @@ def _bad_inputs(d: Path) -> None:
         "not_utf8": b'{"shape": [2, 2, 2], "\xff": 1}',
         "spacing_strings": json.dumps(dict(header, spacing=["1.5", True, " 2 "])).encode(),
         "spacing_inf": json.dumps(dict(header, spacing=[1, 1e400, 1])).encode(),
+        "nested": b"[" * 100_000,
     }
     for name, text in sidecars.items():
         (d / f"{name}.raw").write_bytes(bytes(8))
@@ -478,6 +524,8 @@ PROBES = [
                  EXIT_IO, "spacing_strings.raw.json", id="voronoi-sidecar-spacing-strings"),
     pytest.param(["voronoi", "--gt", "{d}/spacing_inf.raw", "--out", "{d}/v.raw"],
                  EXIT_IO, "spacing_inf.raw.json", id="voronoi-sidecar-spacing-inf"),
+    pytest.param(["voronoi", "--gt", "{d}/nested.raw", "--out", "{d}/v.raw"],
+                 EXIT_IO, "nested.raw.json", id="voronoi-sidecar-nested"),
     pytest.param(["eval", "--manifest", "{d}/not_utf8.csv", "--out", "{d}/o"],
                  EXIT_IO, "not_utf8.csv", id="eval-manifest-not-utf8"),
     pytest.param(["eval", "--manifest", "{d}/huge_field.csv", "--out", "{d}/o"],
@@ -513,6 +561,18 @@ def test_eval_truncated_case_is_recorded(tmp_path):
     assert [c["status"] for c in cases] == ["ok", "error"]
     assert cases[1]["error"].startswith("VolumeFormatError: ")
     assert "truncated.nii.gz" in cases[1]["error"]
+
+
+def test_eval_nested_sidecar_is_recorded(tmp_path):
+    _bad_inputs(tmp_path)
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("gt.raw", "nested.raw"), ("gt.raw", "gt.raw")])
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) == EXIT_PARTIAL
+    report = json.loads((out / "report.json").read_text())
+    assert [c["status"] for c in report["cases"]] == ["error", "ok"]
+    assert report["cases"][0]["error"].startswith("VolumeFormatError: malformed sidecar ")
+    assert report["summary"] == {"n_cases": 2, "n_ok": 1, "n_failed": 1}
 
 
 def test_module_entry_point_exits_2_with_one_line(tmp_path):

@@ -142,15 +142,33 @@ def test_raw_size_is_checked_before_the_file_is_read(tmp_path):
     path.with_name("big.raw.json").write_text(json.dumps({
         "shape": [4, 4, 4], "spacing": [1, 1, 1], "dtype": "u8", "order": "x-fastest"
     }))
+    match = rf"expected 64 bytes for shape \[4, 4, 4\] dtype u8, found {16 << 20}$"
+    assert _peak_of_rejected_read(path, match) < 1 << 20
+
+
+def _peak_of_rejected_read(path, match) -> int:
+    """Traced peak bytes of a ``read_volume`` that raises ``VolumeFormatError``."""
     tracemalloc.start()
     try:
-        with pytest.raises(VolumeFormatError,
-                           match=rf"expected 64 bytes for shape \[4, 4, 4\] dtype u8, found {16 << 20}$"):
+        with pytest.raises(VolumeFormatError, match=match):
             read_volume(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("header, match", [
+    pytest.param(struct.pack("<i", 347), "bad sizeof_hdr at byte offset 0", id="sizeof_hdr"),
+    pytest.param(_nifti_bytes((512, 512, 64), (1, 1, 1), 16, b""),  # 64 MiB of f32
+                 rf"data truncated, need {64 << 20} bytes at offset 352, "
+                 rf"file holds {(16 << 20) - 352}$", id="short-data"),
+])
+def test_nifti_header_is_checked_before_the_data_is_read(tmp_path, header, match):
+    path = tmp_path / "big.nii"
+    with path.open("wb") as fh:
+        fh.write(header)
+        fh.truncate(16 << 20)  # 16 MiB in all, sparse on disk
+    assert _peak_of_rejected_read(path, match) < 1 << 20
 
 
 @pytest.mark.parametrize("name", ["x.raw", "x.nii", "x.nii.gz"])

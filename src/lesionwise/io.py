@@ -14,6 +14,10 @@ The binary file holds exactly ``nx * ny * nz`` values with x varying fastest
 writers store a ``BinaryMask`` as u8 and a ``LogitVolume`` as f32, in both
 formats. Write/read round trips are bit-exact.
 
+A float32 volume is kept as float32 in its ``LogitVolume``, whose
+finiteness check runs on that data; the loss functions compute in float64
+from it, so they give the same bits as from a float64 copy.
+
 NIfTI-1
 -------
 Read support for single-file 3D volumes (``.nii``, optionally gzipped) with
@@ -21,6 +25,20 @@ datatypes uint8, int16 and float32; spacing is taken from ``pixdim[1..3]``.
 Voxel values are read as stored, so a header must not scale them: the
 reader refuses any ``scl_slope``/``scl_inter`` pair other than slope 0 (no
 scaling, per the NIfTI-1 standard) or slope 1 with intercept 0.
+
+Reads are header-first: the 348-byte header and the data size it declares
+are checked before the data is read, so a bad header costs no more memory
+than the header. A ``.nii.gz`` (recognised by its gzip magic bytes) is read
+whole as compressed bytes and inflated in three steps: the header; the
+extension and voxel data in one call capped at ``vox_offset`` plus the data
+size; then the rest of the stream in bounded chunks that are thrown away,
+so every member's CRC and length are still checked. The compressed bytes
+are freed before the voxels are decoded. The gzip container rules are
+``gzip.decompress``'s: members are concatenated, zero bytes after a member
+are skipped, and any other trailing byte is an error, as are a bad CRC or
+length in any member and a stream cut short. zlib also rejects a bad header
+CRC and the reserved header flags, which ``gzip.decompress`` ignores.
+
 ``write_nifti`` emits a minimal little-endian single-file NIfTI-1 volume and
 exists so phantoms can be exported for external viewers; the raw format is
 the canonical interchange format.
@@ -109,7 +127,7 @@ def read_mask(path) -> BinaryMask:
 
 # What the parsers raise on a malformed file besides VolumeFormatError:
 # sidecar values of the wrong type or range, and damaged gzip streams.
-_PARSE_ERRORS = (TypeError, ValueError, OverflowError, EOFError, zlib.error, gzip.BadGzipFile)
+_PARSE_ERRORS = (TypeError, ValueError, OverflowError, EOFError, zlib.error)
 
 
 def _read(path: Path, as_mask: bool):
@@ -130,7 +148,7 @@ def _read(path: Path, as_mask: bool):
 
 def _finish(arr: np.ndarray, spacing: Spacing, as_mask: bool, is_float: bool, path: Path):
     if is_float and not as_mask:
-        return LogitVolume(arr, spacing)  # the one float64 copy; rejects NaN/Inf
+        return LogitVolume(arr, spacing)  # rejects NaN/Inf
     if is_float and not np.isfinite(arr).all():
         raise VolumeFormatError(f"{path}: float volume contains NaN or Inf values")
     return BinaryMask(arr != 0, spacing)
@@ -193,13 +211,65 @@ def _read_raw(path: Path, as_mask: bool):
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
+# Inflated bytes per call while a .nii.gz is read past its data, and the
+# compressed bytes fed to a call beyond the output it may give.
+_GZ_CHUNK = 1 << 16
+
+
+class _Gunzip:
+    """The members of one gzip file, inflated in order on demand."""
+
+    def __init__(self, raw: bytes):
+        self._raw = memoryview(raw)
+        self._pos = 0  # the first compressed byte no inflater has consumed
+        self._member = zlib.decompressobj(31)
+
+    def read(self, n: int) -> bytes:
+        """The next ``n`` inflated bytes; fewer only where the last member ends."""
+        parts = []
+        while n > 0 and self._in_member():
+            member = self._member
+            feed = self._raw[self._pos:self._pos + n + _GZ_CHUNK]
+            out = member.decompress(feed, n)
+            # At a member's end the rest of the feed is in unused_data (and
+            # unconsumed_tail may still hold a stale copy of it).
+            used = len(feed) - len(member.unused_data if member.eof else member.unconsumed_tail)
+            if not (out or used or member.eof):
+                raise EOFError("compressed file ended before the end-of-stream marker was reached")
+            self._pos += used
+            parts.append(out)
+            n -= len(out)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def finish(self) -> None:
+        """Inflate and drop the rest, checking every member; free the compressed bytes."""
+        while self.read(_GZ_CHUNK):
+            pass
+        self._raw = None
+
+    def _in_member(self) -> bool:
+        """False once the stream is over; starts the next member if one follows."""
+        if not self._member.eof:
+            return True
+        rest = self._raw[self._pos:]
+        if rest[:1] == b"\0":  # zero padding after a member is skipped
+            self._pos += len(rest) - len(bytes(rest).lstrip(b"\0"))
+        if self._pos == len(self._raw):
+            return False
+        if self._raw[self._pos:self._pos + 2] != b"\x1f\x8b":
+            raise ValueError(f"trailing bytes after a gzip member at byte offset {self._pos}")
+        self._member = zlib.decompressobj(31)
+        return True
+
+
 def _read_nifti(path: Path, as_mask: bool):
     with path.open("rb") as fh:
-        blob = fh.read(348)  # a .nii's header is checked before its data is read
-        gz = blob[:2] == b"\x1f\x8b"
-        if gz:  # a .nii.gz is inflated whole
+        blob = fh.read(348)  # the header is checked before the data is read
+        gz = None
+        if blob[:2] == b"\x1f\x8b":
             fh.seek(0)
-            blob = gzip.decompress(fh.read())
+            gz = _Gunzip(fh.read())
+            blob = gz.read(348)
     if len(blob) < 348:
         raise VolumeFormatError(
             f"{path}: NIfTI header truncated at byte {len(blob)} (need 348)"
@@ -269,16 +339,22 @@ def _read_nifti(path: Path, as_mask: bool):
 
     dtype = _NIFTI_DTYPES[datatype].newbyteorder(endian)
     expected = nx * ny * nz * dtype.itemsize
-    size = len(blob) if gz else path.stat().st_size  # a .nii's data is not read yet
+    if gz is None:
+        size = path.stat().st_size  # a .nii's data is not read yet
+    else:
+        # extension and data in one call; no file meets a vox_offset past 2**63
+        body = gz.read(min(offset + expected, sys.maxsize) - 348)
+        gz.finish()
+        size = 348 + len(body)
     if size < offset + expected:
         raise VolumeFormatError(
             f"{path}: data truncated, need {expected} bytes at offset {offset}, "
             f"file holds {size - offset}"
         )
-    if gz:
-        arr = np.frombuffer(blob, dtype=dtype, count=nx * ny * nz, offset=offset)
-    else:
+    if gz is None:
         arr = np.fromfile(path, dtype=dtype, count=nx * ny * nz, offset=offset)
+    else:
+        arr = np.frombuffer(body, dtype=dtype, count=nx * ny * nz, offset=offset - 348)
     arr = arr.reshape((nx, ny, nz), order="F")
     return _finish(arr, sp, as_mask, datatype == 16, path)
 

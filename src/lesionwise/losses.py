@@ -26,9 +26,10 @@ instance loss, and checks the gradient for NaN and Inf once.
 
 The pass, the reductions and the gradients write into a workspace of
 lattices held per thread (a ``threading.local``). The next call on the same
-thread reuses it while the logits' shape and memory layout stay the same,
-and replaces it when either changes, so a training loop with a fixed patch
-shape reuses it at every step whatever the ground truth. It holds 57 bytes
+thread reuses it while the logits' shape and strides stay the same, and
+replaces it when either changes (a switch between float32 and float64
+logits changes the strides), so a training loop with a fixed patch shape
+reuses it at every step whatever the ground truth. It holds 57 bytes
 per voxel (six float64 lattices, a bool GT and an intp group index), and it
 stays resident after the call returns, until the thread ends or a call of
 another shape or layout replaces it: one call on a 512^3 volume keeps about
@@ -112,18 +113,20 @@ class LossValue:
 class _Workspace:
     """The lattices of one loss call, reused by the next call on the thread.
 
-    ``_voxel_pass`` fills it and returns it as the pass. The float and bool
-    lattices are laid out like the logits: raw-file masks are x-fastest
-    (Fortran order) while training logits are C order, and elementwise ops
-    on mixed layouts run several times slower. ``index`` is C order, so the
-    group sums are taken by ``bincount`` in C order whatever the layout and
-    their bits do not depend on it.
+    ``_voxel_pass`` fills it and returns it as the pass. The float lattices
+    are float64 whether the logits are stored as float32 or float64, so both
+    give the same bits. The float and bool lattices are laid out like the
+    logits: raw-file masks are x-fastest (Fortran order) while training
+    logits are C order, and elementwise ops on mixed layouts run several
+    times slower. ``index`` is C order, so the group sums are taken by
+    ``bincount`` in C order whatever the layout and their bits do not
+    depend on it.
     """
 
     def __init__(self, like: np.ndarray):
         self.key = (like.shape, like.strides)
         self.p, self.dpdl, self.r, self.ce, self.buf, self.grad = (
-            np.empty_like(like) for _ in range(6)
+            np.empty_like(like, dtype=np.float64) for _ in range(6)
         )
         # p = sigmoid of the clamped logits, dpdl = p (1 - p), r = p - g the
         # CE residual, ce = softplus(l) - g l; buf is scratch for every

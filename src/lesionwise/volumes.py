@@ -6,8 +6,17 @@ All volumes live on a regular lattice indexed ``(x, y, z)`` with array shape
 :mod:`lesionwise.io`.
 
 ``BinaryMask`` holds hard masks and ``LogitVolume``, the one float type,
-logits and other real maps. ``binarize(logits, t)`` keeps ``sigmoid(l) >= t``
-in one call, so probabilities are never stored as a volume.
+logits and other real maps. A ``LogitVolume`` keeps a float32 grid as float32
+and stores any other as float64. ``binarize(logits, t)`` keeps
+``sigmoid(l) >= t`` in one call, so probabilities are never stored as a volume.
+
+``binarize`` decides most voxels by comparing logits with two bounds
+``lo < logit(t) < hi`` in the logits' own dtype, and calls ``sigmoid`` only
+on the thin band of voxels in ``[lo, hi]``, so the mask is bit-for-bit
+``sigmoid(l) >= t``. The bounds rest on delta = 2**-40, a bound on the
+relative error of the computed sigmoid, which holds for
+2**-1000 <= t <= 1 - 4 delta; outside that range the band widens (to the
+whole lattice for a t near the subnormals) and the mask stays exact.
 """
 
 from __future__ import annotations
@@ -107,13 +116,19 @@ class BinaryMask:
 
 @dataclass(frozen=True, eq=False)
 class LogitVolume:
-    """Dense real grid of network outputs before the sigmoid. Values finite."""
+    """Dense real grid of network outputs before the sigmoid. Values finite.
+
+    A float32 grid (of either byte order) is stored as native float32 and
+    any other as float64; both hold the same real values.
+    """
 
     voxels: np.ndarray
     spacing: Spacing
 
     def __post_init__(self):
-        arr = _freeze(self.voxels, np.float64)
+        dtype = np.asarray(self.voxels).dtype
+        single = dtype.kind == "f" and dtype.itemsize == 4
+        arr = _freeze(self.voxels, np.float32 if single else np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("logit volume contains NaN or Inf")
         object.__setattr__(self, "voxels", arr)
@@ -171,11 +186,81 @@ def sigmoid(logits: np.ndarray) -> np.ndarray:
     return sigmoid_parts(logits)[0]
 
 
+# delta, a bound on the relative error of the computed sigmoid s:
+# |s(l) / sigma(l) - 1| <= delta wherever exp(-|l|) is a normal float. s
+# carries exp's error, at most 1.5 times over, plus two roundings of 2**-53
+# (1 + e and the divide), so 2**-40 holds for any exp within 2**11 ulps;
+# numpy's is within a few.
+_SIGMOID_RTOL = 2.0 ** -40
+# Below this threshold sigmoid near t is subnormal, where exp's error is
+# absolute, so delta does not bound it.
+_BAND_MIN_THRESHOLD = 2.0 ** -1000
+
+
+def _certified(centre: float, step: float, holds) -> float:
+    """The first ``centre + step * 2**k``, k = 0..63, where ``holds``; else +-inf."""
+    for _ in range(64):
+        if holds(centre + step):
+            return centre + step
+        step *= 2.0
+    return math.copysign(math.inf, step)
+
+
+def _band(threshold: float, dtype: np.dtype):
+    """Bounds ``lo < logit(t) < hi`` in ``dtype``: s(l) >= t for every l > hi
+    and s(l) < t for every l < lo, with s the computed sigmoid.
+
+    Each bound is certified by s at the bound itself. In floating point,
+    s(hi) (1 - 4 delta) >= t gives s(hi) (1 - 3 delta) >= t, so
+    sigma(hi) (1 - delta) >= t: above hi, s(l) >= sigma(l) (1 - delta) >= t.
+    Likewise s(lo) (1 + 4 delta) < t gives sigma(lo) (1 + delta) < t: below
+    lo, s(l) <= sigma(l) (1 + delta) < t. A bound that no candidate
+    certifies is infinite.
+    """
+    if threshold < _BAND_MIN_THRESHOLD:
+        return dtype.type(-math.inf), dtype.type(math.inf)
+    centre = math.log(threshold) - math.log1p(-threshold)
+    # Some 8 delta of sigmoid as a logit, plus the rounding of centre.
+    step = 8.0 * _SIGMOID_RTOL / (1.0 - threshold) + abs(centre) * 2.0 ** -48
+
+    def s(x):
+        return float(sigmoid(np.float64(x)))
+
+    hi = _certified(centre, step, lambda x: s(x) * (1.0 - 4.0 * _SIGMOID_RTOL) >= threshold)
+    lo = _certified(centre, -step, lambda x: s(x) * (1.0 + 4.0 * _SIGMOID_RTOL) < threshold)
+    # Rounding is monotone and keeps every stored value, so a stored l > the
+    # rounded hi has l > hi, and likewise below lo.
+    return dtype.type(lo), dtype.type(hi)
+
+
 def binarize(logits: LogitVolume, threshold: float = 0.5) -> BinaryMask:
     """Threshold a logit volume; a voxel is foreground iff sigmoid(l) >= threshold.
 
-    The threshold must lie strictly inside (0, 1).
+    The threshold must lie strictly inside (0, 1). The mask is bit-for-bit
+    ``sigmoid(logits.voxels) >= threshold`` without a full-lattice sigmoid:
+    compares in the logits' dtype make logits above a bound ``hi``
+    foreground and below ``lo`` background, and ``sigmoid`` runs only on the
+    band of voxels in ``[lo, hi]``.
+
+    The bounds rest on delta = 2**-40, a bound on the relative error of the
+    computed sigmoid s (exp plus two roundings). ``hi`` and ``lo`` are
+    chosen so that sigma(l) (1 - delta) >= t above hi and
+    sigma(l) (1 + delta) < t below lo, where s and the compare agree. At
+    t = 0.5 the band is about 3e-11 wide. The bound covers
+    2**-1000 <= t <= 1 - 4 delta. Outside that range the result is still
+    exact but the band grows: below it (sigmoid near t subnormal, as at
+    t = 1e-310) the band is the whole lattice, and for t within about
+    4 delta of 1 it is every voxel above ``lo``.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
-    return BinaryMask(sigmoid(logits.voxels) >= threshold, logits.spacing)
+    voxels = logits.voxels
+    lo, hi = _band(threshold, voxels.dtype)
+    fg = voxels > hi
+    # ravel("K") is a view, in the same voxel order for both: the voxels are
+    # contiguous in some axis order (x-fastest for files) and fg shares it.
+    flat, fg_flat = voxels.ravel(order="K"), fg.ravel(order="K")
+    band = np.flatnonzero((flat >= lo) != fg_flat)  # lo <= l <= hi, as lo <= hi
+    if band.size:
+        fg_flat[band] = sigmoid(flat[band]) >= threshold
+    return BinaryMask(fg, logits.spacing)

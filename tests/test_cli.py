@@ -261,6 +261,25 @@ def test_loss_command_gradient_export(figure1_files, tmp_path):
     assert np.any(vol.voxels != 0.0)
 
 
+# sha256 of the --grad-out file of `loss` on the figure-2 phantom, per --loss
+GRAD_DIGESTS = {
+    "dicece": "6f92aab94468415138a6702f4907a5f5c316fe58c1e33179b02a3b36537d5daa",
+    "cc-dicece": "32be2d76a2d964a809cdef27488668ef2ebdd43ef281d0504a5f7e156cb1d24e",
+    "blob-dicece": "9a9de70049cef98814fb3b2465a36318617cad681d3376c46151c663e8e44da0",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAD_DIGESTS))
+def test_loss_gradient_bytes_are_pinned(tmp_path, capsys, kind):
+    sc = figure2_scenario()
+    write_volume(sc.gt, tmp_path / "gt2.raw")
+    write_volume(sc.logits, tmp_path / "logits2.raw")  # read back as float32
+    assert run_cli(["loss", "--gt", str(tmp_path / "gt2.raw"),
+                    "--logits", str(tmp_path / "logits2.raw"),
+                    "--loss", kind, "--grad-out", str(tmp_path / "g.raw")]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "g.raw").read_bytes()).hexdigest() == GRAD_DIGESTS[kind]
+
+
 def test_loss_command_rejects_mask_logits(figure1_files, tmp_path):
     code = run_cli([
         "loss",

@@ -18,6 +18,7 @@ from lesionwise import (
     write_nifti,
     write_volume,
 )
+from lesionwise.cli import EXIT_IO, main
 from oracles import mk_logits, mk_mask
 
 
@@ -368,6 +369,116 @@ def test_write_nifti_gz_logits(tmp_path):
     back = read_volume(path)
     assert isinstance(back, LogitVolume)
     assert np.array_equal(back.voxels, vol.voxels)
+
+
+@pytest.mark.parametrize("name", ["f.raw", "f.nii", "f.nii.gz"])
+def test_float32_volume_is_kept_as_read_only_float32(tmp_path, name):
+    arr = np.linspace(-3, 3, 24, dtype=np.float32).reshape(2, 3, 4)
+    path = tmp_path / name
+    write_volume(LogitVolume(arr, Spacing(1, 1, 1)), path)
+    vol = read_volume(path)
+    assert isinstance(vol, LogitVolume)
+    assert vol.voxels.dtype == np.float32
+    assert not vol.voxels.flags.writeable
+    assert np.array_equal(vol.voxels, arr)
+
+
+def test_big_endian_float32_nifti_is_kept_as_native_float32(tmp_path):
+    data = np.linspace(-1, 1, 8, dtype=">f4")
+    path = tmp_path / "be.nii"
+    path.write_bytes(_nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0), 16, data.tobytes(), endian=">"))
+    vol = read_volume(path)
+    assert vol.voxels.dtype == np.float32
+    assert np.array_equal(vol.voxels.ravel(order="F"), data)
+
+
+# ---------------------------------------------------------------------------
+# .nii.gz: gzip.decompress's container rules, header-first and bounded
+# ---------------------------------------------------------------------------
+
+_GZ_DATA = np.linspace(-3, 3, 60, dtype="<f4")
+_GZ_BLOB = _nifti_bytes((3, 4, 5), (1.0, 1.0, 1.0), 16, _GZ_DATA.tobytes())
+
+
+def _members(*cuts) -> list[bytes]:
+    """``_GZ_BLOB`` as gzip members split at ``cuts``, as bgzip writes them."""
+    bounds = [0, *cuts, len(_GZ_BLOB)]
+    return [gzip.compress(_GZ_BLOB[a:b], mtime=0) for a, b in zip(bounds, bounds[1:])]
+
+
+def _assert_reads_the_volume(path):
+    vol = read_volume(path)
+    assert vol.voxels.dtype == np.float32
+    assert np.array_equal(vol.voxels.ravel(order="F"), _GZ_DATA)
+
+
+@pytest.mark.parametrize("cuts", [(452,), (200, 452), tuple(range(7, len(_GZ_BLOB), 7))],
+                         ids=["data-split", "header-and-data-split", "7-byte-members"])
+def test_gzip_members_are_concatenated(tmp_path, cuts):
+    path = tmp_path / "members.nii.gz"
+    path.write_bytes(b"".join(_members(*cuts)))
+    _assert_reads_the_volume(path)
+
+
+@pytest.mark.parametrize("padding", ["after", "between-and-after"])
+def test_zero_bytes_after_a_gzip_member_are_skipped(tmp_path, padding):
+    first, second = _members(452)
+    gap = b"\0" * 5 if padding == "between-and-after" else b""
+    path = tmp_path / "padded.nii.gz"
+    path.write_bytes(first + gap + second + b"\0" * 1000)
+    _assert_reads_the_volume(path)
+
+
+def _corrupt(byte_from_end: int):
+    def edit(raw: bytes) -> bytes:
+        out = bytearray(raw)
+        out[-byte_from_end] ^= 0x01
+        return bytes(out)
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    pytest.param(lambda raw: raw + b"garbage", "trailing bytes after a gzip member",
+                 id="trailing-garbage"),
+    pytest.param(lambda raw: raw + b"\0\0\x1f", "trailing bytes after a gzip member",
+                 id="zeros-then-garbage"),
+    pytest.param(_corrupt(8), "incorrect data check", id="second-member-crc"),
+    pytest.param(_corrupt(4), "incorrect length check", id="second-member-isize"),
+    pytest.param(lambda raw: raw[:-3], "ended before the end-of-stream marker",
+                 id="second-member-cut"),
+])
+def test_bad_gzip_container_is_a_format_error_naming_the_file(tmp_path, capsys, edit, match):
+    path = tmp_path / "bad.nii.gz"
+    path.write_bytes(edit(b"".join(_members(452))))
+    with pytest.raises(VolumeFormatError, match=match) as err:
+        read_volume(path)
+    assert str(path) in str(err.value)
+    assert main(["voronoi", "--gt", str(path), "--out", str(tmp_path / "v.raw")]) == EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(path) in lines[0] and match in lines[0]
+
+
+def test_gzip_bomb_behind_a_bad_header_is_refused_at_bounded_peak(tmp_path):
+    # 64 MiB of zeros compress to about 65 KB; only the header is inflated
+    path = tmp_path / "bomb.nii.gz"
+    path.write_bytes(gzip.compress(struct.pack("<i", 347) + bytes(64 << 20), mtime=0))
+    assert path.stat().st_size < 100_000
+    assert _peak_of_rejected_read(path, "bad sizeof_hdr") < 1 << 20
+
+
+def test_inflated_bytes_after_the_data_are_checked_at_bounded_peak(tmp_path):
+    data = np.arange(8, dtype="<f4")
+    path = tmp_path / "tail.nii.gz"
+    path.write_bytes(gzip.compress(
+        _nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0), 16, data.tobytes()) + bytes(64 << 20), mtime=0))
+    tracemalloc.start()
+    try:
+        vol = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vol.voxels.ravel(order="F"), data)
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

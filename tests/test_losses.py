@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as npst
 from lesionwise import (
     LOGIT_CLAMP,
     EmptyGroundTruthError,
+    LogitVolume,
     LossWeights,
     Shape,
     Spacing,
@@ -494,6 +495,24 @@ def test_workspace_reuse_is_invisible_across_calls_shapes_and_layouts():
     order = [i for i in range(len(cases)) for _ in range(2)] + list(range(len(cases)))[::-1]
     for i in order:
         assert _run(cases[i]) == want[i], i
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_float32_and_float64_stored_logits_give_the_same_bits(order):
+    # |l| up to about 60, so the clamp at LOGIT_CLAMP runs on float32 data too
+    gt, lab, _ = _random_case(75, shape=(7, 6, 5), n_components=3)
+    part = voronoi_partition(lab)
+    arr = np.random.default_rng(76).normal(0.0, 20.0, size=gt.voxels.shape)
+    arr = np.asarray(arr.astype(np.float32), order=order)
+    single, double = LogitVolume(arr, UNIT), mk_logits(arr)
+    assert (single.voxels.dtype, double.voxels.dtype) == (np.float32, np.float64)
+    for kind in KINDS:
+        # each in a fresh thread, so each builds its own workspace
+        want = _in_fresh_thread(_run, (kind, double, gt, None, lab, part))
+        assert _in_fresh_thread(_run, (kind, single, gt, None, lab, part)) == want, kind
+        # and in this thread, one after the other
+        assert _run((kind, double, gt, None, lab, part)) == want, kind
+        assert _run((kind, single, gt, None, lab, part)) == want, kind
 
 
 def test_held_gradient_survives_later_calls():

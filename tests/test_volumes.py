@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,57 @@ def test_binarize_sigmoid_equals_sign_test(arr, case):
     t, l32 = case
     got = binarize(LogitVolume(l32, UNIT), t).voxels
     assert np.array_equal(got, two_branch_sigmoid(l32) >= t)
+
+
+# Thresholds at the edges of the band's error bound: subnormal sigmoid
+# (1e-310), the least normal float, and t within an ulp or so of 1.
+EDGE_THRESHOLDS = [1e-310, 2.0 ** -1022, 1e-12, 0.5, 1 - 1e-12, 1 - 2.0 ** -53]
+
+
+@st.composite
+def _logits_near_the_threshold(draw):
+    """A threshold and logits within +-64 ulps of its logit (some of them
+    scaled further out), stored as float32 or float64, in C or F order."""
+    t = draw(st.one_of(st.sampled_from(EDGE_THRESHOLDS),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    centre = dtype(math.log(t) - math.log1p(-t))
+    ulps = draw(npst.arrays(np.int64, (4, 3, 5), elements=st.integers(-64, 64)))
+    scale = draw(st.sampled_from([1, 1, 2 ** 10, 2 ** 20]))
+    arr = (centre + ulps * (scale * np.spacing(centre))).astype(dtype)
+    return t, arr if draw(st.booleans()) else np.asfortranarray(arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_logits_near_the_threshold())
+def test_binarize_equals_the_full_sigmoid_compare_near_the_threshold(case):
+    t, arr = case
+    logits = LogitVolume(arr, UNIT)
+    assert logits.voxels.dtype == arr.dtype
+    got = binarize(logits, t).voxels
+    want = sigmoid(arr) >= t
+    assert got.dtype == bool
+    assert got.tobytes(order="F") == want.tobytes(order="F")
+
+
+@pytest.mark.parametrize("arr, dtype", [
+    (np.arange(8, dtype=np.int16), np.float64),
+    (np.arange(8, dtype=np.uint8), np.float64),
+    (np.linspace(-1, 1, 8), np.float64),
+    (np.linspace(-1, 1, 8, dtype=np.float32), np.float32),
+    (np.linspace(-1, 1, 8, dtype=">f4"), np.float32),
+    (np.linspace(-1, 1, 8, dtype=np.float16), np.float64),
+], ids=["int16", "uint8", "float64", "float32", "float32-big-endian", "float16"])
+def test_logit_volume_stores_float32_as_float32_and_the_rest_as_float64(arr, dtype):
+    vol = LogitVolume(arr.reshape(2, 2, 2), UNIT)
+    assert vol.voxels.dtype == np.dtype(dtype)  # native byte order
+    assert not vol.voxels.flags.writeable
+    assert np.array_equal(vol.voxels, arr.reshape(2, 2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float32_logit_volume_rejects_non_finite(bad):
+    arr = np.zeros((2, 2, 2), dtype=np.float32)
+    arr[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        LogitVolume(arr, UNIT)

@@ -143,15 +143,8 @@ def cmd_eval(args) -> int:
 
     agg_rec = None
     if ok_metrics:
-        agg_rec = {
-            name: {
-                "mean": _num(st.mean),
-                "std": _num(st.std),
-                "n": st.n,
-                "n_undefined": st.n_undefined,
-            }
-            for name, st in aggregate(ok_metrics).items()
-        }
+        agg_rec = {name: {**vars(st), "mean": _num(st.mean), "std": _num(st.std)}
+                   for name, st in aggregate(ok_metrics).items()}
     qr_rec = None
     if ok_metrics and any(c.n_gt > 0 for c in ok_metrics):
         qr = quartile_recall(ok_metrics)

@@ -61,7 +61,6 @@ RAW_DTYPES = {"u8": np.dtype("<u1"), "f32": np.dtype("<f4")}
 
 # NIfTI-1 datatype codes we accept.
 _NIFTI_DTYPES = {2: np.dtype("u1"), 4: np.dtype("i2"), 16: np.dtype("f4")}
-_NIFTI_BITPIX = {2: 8, 4: 16, 16: 32}
 
 
 class VolumeFormatError(ValueError):
@@ -146,12 +145,12 @@ def _read(path: Path, as_mask: bool):
         raise VolumeFormatError(f"{path}: {exc}") from exc
 
 
-def _finish(arr: np.ndarray, spacing: Spacing, as_mask: bool, is_float: bool, path: Path):
-    if is_float and not as_mask:
+def _finish(arr: np.ndarray, spacing: Spacing, as_mask: bool, path: Path):
+    if arr.dtype.kind == "f" and not as_mask:
         return LogitVolume(arr, spacing)  # rejects NaN/Inf
-    if is_float and not np.isfinite(arr).all():
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise VolumeFormatError(f"{path}: float volume contains NaN or Inf values")
-    return BinaryMask(arr != 0, spacing)
+    return BinaryMask(arr, spacing)  # its bool cast makes any nonzero value foreground
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def _read_raw(path: Path, as_mask: bool):
             f"{header['dtype']}, found {size}"
         )
     arr = np.frombuffer(path.read_bytes(), dtype=dtype).reshape((nx, ny, nz), order="F")
-    return _finish(arr, sp, as_mask, header["dtype"] == "f32", path)
+    return _finish(arr, sp, as_mask, path)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,7 @@ def _read_nifti(path: Path, as_mask: bool):
             f"{path}: unsupported NIfTI datatype code {datatype} at byte offset 70 "
             f"(supported: uint8=2, int16=4, float32=16)"
         )
-    if bitpix != _NIFTI_BITPIX[datatype]:
+    if bitpix != 8 * _NIFTI_DTYPES[datatype].itemsize:
         raise VolumeFormatError(
             f"{path}: bitpix {bitpix} inconsistent with datatype {datatype} (byte offset 72)"
         )
@@ -356,7 +355,7 @@ def _read_nifti(path: Path, as_mask: bool):
     else:
         arr = np.frombuffer(body, dtype=dtype, count=nx * ny * nz, offset=offset - 348)
     arr = arr.reshape((nx, ny, nz), order="F")
-    return _finish(arr, sp, as_mask, datatype == 16, path)
+    return _finish(arr, sp, as_mask, path)
 
 
 def write_nifti(vol, path) -> None:
@@ -369,7 +368,7 @@ def write_nifti(vol, path) -> None:
     header = bytearray(352)  # 348-byte header + 4-byte extension flag
     struct.pack_into("<i", header, 0, 348)
     struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<2h", header, 70, datatype, _NIFTI_BITPIX[datatype])
+    struct.pack_into("<2h", header, 70, datatype, 8 * _NIFTI_DTYPES[datatype].itemsize)
     struct.pack_into("<8f", header, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", header, 108, 352.0)
     struct.pack_into("<2f", header, 112, 1.0, 0.0)  # scl_slope, scl_inter

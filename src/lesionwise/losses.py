@@ -172,9 +172,7 @@ def _as_pass(logits: LogitVolume | _Workspace, gt: BinaryMask) -> _Workspace:
 class _Terms:
     """Per-term sums of the DiceCE terms over voxel groups, from one reduction."""
 
-    index: np.ndarray | None  # the workspace's voxel -> group index
-    gt_coords: tuple[np.ndarray, ...] | None  # coordinates of the GT voxels, in C order
-    gt_index: np.ndarray | None  # group of each GT voxel, in the same order
+    lab: ComponentLabeling | None  # the grouped terms' labeling; None for the one global term
     shared: bool
     inter: np.ndarray  # sum of p * g
     denom: np.ndarray  # sum of p + sum of g; > 0 on any voxel set, as p > 0
@@ -206,12 +204,12 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
         inter = np.sum(np.multiply(vp.p, vp.gt, out=vp.buf))
         psum, ce_sum = np.sum(vp.p), np.sum(vp.ce)
         gsum = float(np.count_nonzero(vp.gt))
-        return _Terms(None, None, None, False, np.array([inter]), np.array([psum + gsum]),
+        return _Terms(None, False, np.array([inter]), np.array([psum + gsum]),
                       np.array([ce_sum]), np.array([float(vp.p.size)]))
     n, shared = lab.count, part is None
     np.copyto(vp.index, lab.labels if shared else part.region_of)
-    flat, gt_coords, gt_index = vp.index.ravel(), lab.foreground_coords, lab.foreground_ids
-    inter = np.bincount(gt_index, weights=vp.p[gt_coords], minlength=n + 1)
+    flat = vp.index.ravel()
+    inter = np.bincount(lab.foreground_ids, weights=vp.p[lab.foreground_coords], minlength=n + 1)
     psum = np.bincount(flat, weights=vp.p.ravel(), minlength=n + 1)
     ce_sum = np.bincount(flat, weights=vp.ce.ravel(), minlength=n + 1)
     sums = (inter, psum, ce_sum)
@@ -222,7 +220,7 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
         inter, psum, ce_sum = (s[1:] for s in sums)
         size = part.region_sizes().astype(np.float64)
     gsum = lab.volumes_vox.astype(np.float64)
-    return _Terms(vp.index, gt_coords, gt_index, shared, inter, psum + gsum, ce_sum, size)
+    return _Terms(lab, shared, inter, psum + gsum, ce_sum, size)
 
 
 def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
@@ -239,24 +237,19 @@ def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
     c = w_ce * term_weights / t.size
 
     # (g a + b) p' + (p - g) c, with g a + b taken per group on and off the GT
-    if t.index is None:
+    if t.lab is None:
         a, b, c = float(a[0]), float(b[0]), float(c[0])
         np.copyto(out, 0.0 * a + b)
         np.copyto(out, a + b, where=vp.gt)
-        out *= vp.dpdl
-        out += np.multiply(vp.r, c, out=vp.buf)
-        return out
-
-    def per_group(x):
+        ce_grad = np.multiply(vp.r, c, out=vp.buf)
+    else:
         # Group 0 carries the sum of every term's coefficients when shared.
-        return np.concatenate(([x.sum() if t.shared else 0.0], x))
-
-    a, b, c = per_group(a), per_group(b), per_group(c)
-    np.take(0.0 * a + b, t.index, out=out, mode="clip")
-    out[t.gt_coords] = (a + b)[t.gt_index]
+        a, b, c = (np.concatenate(([x.sum() if t.shared else 0.0], x)) for x in (a, b, c))
+        np.take(0.0 * a + b, vp.index, out=out, mode="clip")
+        out[t.lab.foreground_coords] = (a + b)[t.lab.foreground_ids]
+        ce_grad = np.take(c, vp.index, out=vp.buf, mode="clip")
+        ce_grad *= vp.r
     out *= vp.dpdl
-    ce_grad = np.take(c, t.index, out=vp.buf, mode="clip")
-    ce_grad *= vp.r
     out += ce_grad
     return out
 

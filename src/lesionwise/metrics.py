@@ -238,7 +238,7 @@ def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> Cas
         tp=tp,
         fp=fp,
         fn=fn,
-        gt_volumes_mm3=gt_lab.volumes_mm3.copy(),
+        gt_volumes_mm3=gt_lab.volumes_mm3,
         gt_detected=detected,
     )
 
@@ -288,16 +288,10 @@ def aggregate(cases) -> dict[str, AggregateStat]:
     for field in METRIC_FIELDS:
         vals = [getattr(c, field) for c in cases]
         defined = np.array([v for v in vals if v is not None], dtype=float)
-        n_undef = len(vals) - defined.size
-        if defined.size:
-            out[field] = AggregateStat(
-                mean=float(defined.mean()),
-                std=float(defined.std()),
-                n=int(defined.size),
-                n_undefined=n_undef,
-            )
-        else:
-            out[field] = AggregateStat(
-                mean=float("nan"), std=float("nan"), n=0, n_undefined=n_undef
-            )
+        out[field] = AggregateStat(
+            mean=float(defined.mean()) if defined.size else float("nan"),
+            std=float(defined.std()) if defined.size else float("nan"),
+            n=int(defined.size),
+            n_undefined=len(vals) - defined.size,
+        )
     return out

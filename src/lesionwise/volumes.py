@@ -59,7 +59,8 @@ class Shape:
 
 @dataclass(frozen=True)
 class Spacing:
-    """Physical voxel edge lengths in mm. All strictly positive and finite."""
+    """Physical voxel edge lengths in mm. All strictly positive and finite, and
+    so is their product, the voxel volume (it neither overflows nor underflows)."""
 
     sx: float
     sy: float
@@ -70,6 +71,10 @@ class Spacing:
             s = getattr(self, name)
             if not (isinstance(s, (int, float, np.floating)) and math.isfinite(s) and s > 0):
                 raise ValueError(f"{name} must be positive and finite, got {s!r}")
+        volume = self.voxel_volume
+        if not (math.isfinite(volume) and volume > 0):
+            raise ValueError(f"voxel volume {volume!r} mm^3 of spacing {self.as_tuple()} "
+                             "is not positive and finite")
 
     @property
     def voxel_volume(self) -> float:

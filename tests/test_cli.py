@@ -609,3 +609,21 @@ def test_module_entry_point_exits_2_with_one_line(tmp_path):
     assert proc.stderr.startswith("lesionwise voronoi: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_spacing_whose_voxel_volume_overflows_is_a_case_error(tmp_path, capsys):
+    write_volume(mk_mask(np.ones((2, 2, 2))), tmp_path / "ok.raw")
+    (tmp_path / "far.raw").write_bytes(bytes([1]) * 8)
+    (tmp_path / "far.raw.json").write_text(json.dumps({
+        "shape": [2, 2, 2], "spacing": [1e200, 1e200, 1.0], "dtype": "u8", "order": "x-fastest"
+    }))
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("far.raw", "far.raw"), ("ok.raw", "ok.raw")])
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) == EXIT_PARTIAL
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert [c["status"] for c in report["cases"]] == ["error", "ok"]
+    assert report["cases"][0]["error"].startswith("VolumeFormatError: ")
+    assert "far.raw: voxel volume inf" in report["cases"][0]["error"]
+    assert report["quartile_recall"]["boundaries_mm3"] == [8.0, 8.0, 8.0]

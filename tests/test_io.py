@@ -121,6 +121,14 @@ def test_raw_errors(tmp_path):
     with pytest.raises(VolumeFormatError):
         read_volume(path)
 
+    # each entry valid, but the voxel volume overflows or underflows
+    for spacing in ([1e200, 1e200, 1.0], [1e-200, 1e-200, 1.0]):
+        sidecar.write_text(json.dumps({
+            "shape": [2, 2, 2], "spacing": spacing, "dtype": "u8", "order": "x-fastest"
+        }))
+        with pytest.raises(VolumeFormatError, match=r"x\.raw: voxel volume"):
+            read_mask(path)
+
     # a float or a bool is not an extent, though int() would take it
     for shape in ([2, "x", 2], [2.5, 2, 2], [True, 8, 1]):
         sidecar.write_text(json.dumps({
@@ -187,6 +195,35 @@ def test_read_mask_treats_any_nonzero_as_foreground(tmp_path):
     write_volume(mk_logits(arr), path)
     mask = read_mask(path)
     assert mask.foreground_count == 2
+
+    # Every stored dtype and byte order: the mask is data != 0, so -0.0 is
+    # background and a subnormal, 255 and a negative int16 are foreground.
+    sub = np.finfo(np.float32).smallest_subnormal
+    floats = [0.0, -0.0, sub, -sub, 1.0, -0.0, 0.0, -3.5]
+    stored = {
+        "u8.raw": np.array([0, 1, 255, 0, 1, 0, 255, 0], dtype="<u1"),
+        "f32.raw": np.array(floats, dtype="<f4"),
+        "u8.nii": np.array([255, 0, 0, 1, 0, 0, 1, 255], dtype="u1"),
+        "i2.nii": np.array([0, -1, -32768, 0, 32767, 0, 256, 0], dtype="<i2"),
+        "i2_be.nii": np.array([0, -1, -32768, 0, 32767, 0, 256, 1], dtype=">i2"),
+        "f32_be.nii": np.array(floats, dtype=">f4"),
+    }
+    codes = {"u1": 2, "i2": 4, "f4": 16}
+    for name, data in stored.items():
+        path = tmp_path / name
+        if name.endswith(".raw"):
+            path.with_name(name + ".json").write_text(json.dumps({
+                "shape": [2, 2, 2], "spacing": [1, 1, 1],
+                "dtype": "u8" if data.dtype.kind == "u" else "f32", "order": "x-fastest",
+            }))
+            path.write_bytes(data.tobytes())
+        else:
+            endian = ">" if data.dtype.byteorder == ">" else "<"
+            path.write_bytes(_nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0),
+                                          codes[data.dtype.str[1:]], data.tobytes(),
+                                          endian=endian))
+        mask = read_mask(path)
+        assert np.array_equal(mask.voxels, data.reshape((2, 2, 2), order="F") != 0), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -30,9 +30,11 @@ def test_shape_validation():
 def test_spacing_validation():
     s = Spacing(0.5, 0.5, 2.0)
     assert s.voxel_volume == 0.5
-    for bad in [(0, 1, 1), (1, float("inf"), 1), (1, 1, float("nan")), (-1, 1, 1)]:
+    for bad in [(0, 1, 1), (1, float("inf"), 1), (1, 1, float("nan")), (-1, 1, 1),
+                (1e200, 1e200, 1.0), (1e-200, 1e-200, 1.0)]:  # the last two: voxel volume
         with pytest.raises(ValueError):
             Spacing(*bad)
+    assert Spacing(1e200, 1e-200, 1.0).voxel_volume == pytest.approx(1.0)
 
 
 def test_volumes_are_immutable():

@@ -54,8 +54,8 @@ COUNT_FIELDS = ("n_gt", "n_pred", "tp", "fp", "fn")
 
 # Exit 2 in ``main`` and a recorded case error in ``eval``; any other
 # ValueError is a usage error, and any other exception a bug with a traceback.
-INPUT_ERRORS = (OSError, UnicodeError, csv.Error,
-                VolumeFormatError, ShapeMismatchError, EmptyGroundTruthError)
+INPUT_ERRORS = (OSError, UnicodeError, VolumeFormatError, ShapeMismatchError,
+                EmptyGroundTruthError)
 
 
 class _Parser(argparse.ArgumentParser):

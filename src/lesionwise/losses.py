@@ -262,13 +262,16 @@ class _Unchecked(NamedTuple):
     grad: np.ndarray
 
 
-def _value(logits, vp, scalar, t, w_dice, w_ce, term_weights) -> LossValue | _Unchecked:
-    """A checked ``LossValue`` with a fresh gradient, or, when ``logits`` is
-    already a pass (``combined_loss``'s path), an ``_Unchecked`` that the
-    caller weighs, sums and checks once."""
+def _mean_of_terms(logits, vp, t, w_dice, w_ce) -> LossValue | _Unchecked:
+    """The mean of the terms: a checked ``LossValue`` with a fresh gradient,
+    or, when ``logits`` is already a pass (``combined_loss``'s path), an
+    ``_Unchecked`` that the caller weighs, sums and checks once."""
+    n = t.inter.size
+    scalar = float(np.sum(t.values(w_dice, w_ce))) / n
+    weights = np.full(n, 1.0 / n)
     if logits is vp:
-        return _Unchecked(scalar, _grad(vp, t, w_dice, w_ce, term_weights, vp.grad))
-    return LossValue(scalar, _grad(vp, t, w_dice, w_ce, term_weights, np.empty_like(vp.p)))
+        return _Unchecked(scalar, _grad(vp, t, w_dice, w_ce, weights, vp.grad))
+    return LossValue(scalar, _grad(vp, t, w_dice, w_ce, weights, np.empty_like(vp.p)))
 
 
 def dicece_loss(
@@ -284,8 +287,7 @@ def dicece_loss(
     (see the module docstring).
     """
     vp = _as_pass(logits, gt)
-    t = _reduce(vp)
-    return _value(logits, vp, float(t.values(w_dice, w_ce)[0]), t, w_dice, w_ce, np.ones(1))
+    return _mean_of_terms(logits, vp, _reduce(vp), w_dice, w_ce)
 
 
 def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
@@ -326,12 +328,6 @@ def _instance_terms(logits, gt, lab, part=None):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
     return vp, _reduce(vp, lab, part)
-
-
-def _mean_of_terms(logits, vp, t, w_dice, w_ce) -> LossValue | _Unchecked:
-    n = t.inter.size
-    scalar = float(np.sum(t.values(w_dice, w_ce))) / n
-    return _value(logits, vp, scalar, t, w_dice, w_ce, np.full(n, 1.0 / n))
 
 
 def _each_term(vp, t, w_dice, w_ce) -> list[LossValue]:

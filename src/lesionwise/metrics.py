@@ -260,19 +260,13 @@ def quartile_recall(cases) -> QuartileRecall:
     b1, b2, b3 = np.percentile(vols, [25.0, 50.0, 75.0])
     bucket = np.digitize(vols, [b1, b2, b3], right=True)
 
-    detected, total, recalls = [], [], []
-    for q in range(4):
-        in_q = bucket == q
-        t = int(np.count_nonzero(in_q))
-        d = int(np.count_nonzero(det[in_q]))
-        total.append(t)
-        detected.append(d)
-        recalls.append(d / t if t > 0 else None)
+    total = tuple(np.bincount(bucket, minlength=4).tolist())
+    detected = tuple(np.bincount(bucket[det], minlength=4).tolist())
     return QuartileRecall(
         boundaries=(float(b1), float(b2), float(b3)),
-        recall_q=tuple(recalls),
-        detected=tuple(detected),
-        total=tuple(total),
+        recall_q=tuple(d / t if t > 0 else None for d, t in zip(detected, total)),
+        detected=detected,
+        total=total,
     )
 
 

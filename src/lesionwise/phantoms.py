@@ -73,7 +73,8 @@ def build_phantom(spec: PhantomSpec) -> tuple[BinaryMask, ComponentLabeling]:
     Components are checked in spec order, each against the volume bounds and
     then against the earlier ones. Raises ValueError at the first that leaves
     the volume or comes closer than a two-voxel background gap (Chebyshev
-    distance < 3) to an earlier one.
+    distance < 3) to an earlier one. A box is one 26-connected component and
+    the gap keeps boxes from touching, so the labeling finds one per entry.
     """
     if not spec.components:
         raise ValueError("phantom needs at least one component")
@@ -91,12 +92,7 @@ def build_phantom(spec: PhantomSpec) -> tuple[BinaryMask, ComponentLabeling]:
         painted[_slices(box)] = True
 
     mask = BinaryMask(painted, spec.spacing)
-    lab = label_components(mask)
-    if lab.count != len(spec.components):
-        raise ValueError(
-            f"painted {len(spec.components)} components but labeling found {lab.count}"
-        )
-    return mask, lab
+    return mask, label_components(mask)
 
 
 def random_instances_spec(

@@ -9,6 +9,8 @@ All volumes live on a regular lattice indexed ``(x, y, z)`` with array shape
 logits and other real maps. A ``LogitVolume`` keeps a float32 grid as float32
 and stores any other as float64. ``binarize(logits, t)`` keeps
 ``sigmoid(l) >= t`` in one call, so probabilities are never stored as a volume.
+Both types refuse a lattice whose physical volume or squared diagonal is not
+below ``MAX_PHYSICAL_SIZE``, so volumes and distances taken on it stay finite.
 
 ``binarize`` decides most voxels by comparing logits with two bounds
 ``lo < logit(t) < hi`` in the logits' own dtype, and calls ``sigmoid`` only
@@ -29,6 +31,11 @@ import numpy as np
 
 # Relative per-axis tolerance when two volumes' spacings must agree.
 SPACING_RTOL = 1e-6
+
+# Bound on a lattice's physical volume (mm^3) and squared diagonal (mm^2), far
+# above any scanner (a 512x512x2000 CT at 1 mm is about 5e8 mm^3), so that
+# lesion volumes, squared distances and their sums stay finite.
+MAX_PHYSICAL_SIZE = 1e30
 
 
 class ShapeMismatchError(ValueError):
@@ -85,12 +92,20 @@ class Spacing:
         return (float(self.sx), float(self.sy), float(self.sz))
 
 
-def _freeze(voxels: np.ndarray, dtype) -> np.ndarray:
+def _freeze(voxels: np.ndarray, spacing: Spacing, dtype) -> np.ndarray:
     if voxels.ndim != 3:
         raise ValueError(f"expected a 3D voxel grid, got ndim={voxels.ndim}")
     for axis, n in zip("xyz", voxels.shape):
         if n == 0:
             raise ValueError(f"voxel grid has no voxels along {axis}: shape {voxels.shape}")
+    volume = math.prod(voxels.shape) * spacing.voxel_volume
+    diagonal_sq = sum(((n - 1) * s) * ((n - 1) * s)
+                      for n, s in zip(voxels.shape, spacing.as_tuple()))
+    if not (volume < MAX_PHYSICAL_SIZE and diagonal_sq < MAX_PHYSICAL_SIZE):
+        raise ValueError(f"lattice {voxels.shape} at spacing {spacing.as_tuple()} mm has no "
+                         f"usable physical size: volume {volume:.3g} mm^3 and squared "
+                         f"diagonal {diagonal_sq:.3g} mm^2 must stay below "
+                         f"{MAX_PHYSICAL_SIZE:.0e}")
     out = np.array(voxels, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -108,7 +123,7 @@ class BinaryMask:
     spacing: Spacing
 
     def __post_init__(self):
-        object.__setattr__(self, "voxels", _freeze(self.voxels, bool))
+        object.__setattr__(self, "voxels", _freeze(self.voxels, self.spacing, bool))
 
     @property
     def shape(self) -> Shape:
@@ -133,7 +148,7 @@ class LogitVolume:
     def __post_init__(self):
         dtype = np.asarray(self.voxels).dtype
         single = dtype.kind == "f" and dtype.itemsize == 4
-        arr = _freeze(self.voxels, np.float32 if single else np.float64)
+        arr = _freeze(self.voxels, self.spacing, np.float32 if single else np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("logit volume contains NaN or Inf")
         object.__setattr__(self, "voxels", arr)

@@ -509,6 +509,23 @@ def _bad_inputs(d: Path) -> None:
     bitpix = bytearray((d / "gt.nii").read_bytes())
     bitpix[72:74] = (16).to_bytes(2, "little")  # uint8 data declared 16 bits wide
     (d / "bad_bitpix.nii").write_bytes(bytes(bitpix))
+    # Lattices with no usable physical size; each spacing alone is valid.
+    two = np.zeros((8, 8, 2), dtype=np.uint8)  # two 1-voxel lesions
+    two[1, 1, 0] = two[6, 6, 1] = 1
+    far = dict(header, shape=[8, 8, 2], spacing=[1e160, 1e-160, 1.0])  # diagonal overflows
+    (d / "far.raw").write_bytes(two.tobytes(order="F"))
+    (d / "far.raw.json").write_text(json.dumps(far))
+    two[3, 4, 0] = 1  # a false positive, looked up by nearest lesion
+    (d / "far_pred.raw").write_bytes(two.tobytes(order="F"))
+    (d / "far_pred.raw.json").write_text(json.dumps(far))
+    (d / "far_logits.raw").write_bytes(np.where(two, 3.0, -3.0).astype("<f4").tobytes(order="F"))
+    (d / "far_logits.raw.json").write_text(json.dumps(dict(far, dtype="f32")))
+    (d / "huge.raw").write_bytes(bytes([1]) * 512)  # all foreground, volume overflows
+    (d / "huge.raw.json").write_text(json.dumps(dict(header, shape=[8, 8, 8], spacing=[1e102] * 3)))
+    (d / "far_masks").mkdir()
+    (d / "far_masks" / "s.raw").write_bytes(bytes([1, 0, 0, 1]))  # volume 4e200 mm^3
+    (d / "far_masks" / "s.raw.json").write_text(
+        json.dumps(dict(header, shape=[4, 1, 1], spacing=[1e67, 1e67, 1e66])))
 
 
 # argv with {d} for the directory of _bad_inputs, the expected exit code and
@@ -557,6 +574,14 @@ PROBES = [
                  EXIT_IO, "afile", id="stats-on-a-file"),
     pytest.param(["stats", "--masks", "{d}/masks"],
                  EXIT_IO, "b.nii.gz", id="stats-truncated-gz"),
+    pytest.param(["voronoi", "--gt", "{d}/far.raw", "--out", "{d}/v.raw",
+                  "--distance", "physical"],
+                 EXIT_IO, "far.raw", id="voronoi-physical-diagonal-overflows"),
+    pytest.param(["loss", "--gt", "{d}/far.raw", "--logits", "{d}/far_logits.raw",
+                  "--distance", "physical"],
+                 EXIT_IO, "far.raw", id="loss-physical-diagonal-overflows"),
+    pytest.param(["stats", "--masks", "{d}/far_masks"],
+                 EXIT_IO, "s.raw", id="stats-volume-beyond-bound"),
 ]
 
 
@@ -627,3 +652,28 @@ def test_eval_spacing_whose_voxel_volume_overflows_is_a_case_error(tmp_path, cap
     assert report["cases"][0]["error"].startswith("VolumeFormatError: ")
     assert "far.raw: voxel volume inf" in report["cases"][0]["error"]
     assert report["quartile_recall"]["boundaries_mm3"] == [8.0, 8.0, 8.0]
+
+
+@pytest.mark.parametrize("gt, pred, distance", [
+    ("far.raw", "far_pred.raw", "physical"),
+    ("huge.raw", "huge.raw", "voxel"),
+], ids=["physical-diagonal-overflows", "volume-overflows"])
+def test_eval_lattice_without_usable_physical_size_is_a_case_error(
+        tmp_path, capsys, gt, pred, distance):
+    _bad_inputs(tmp_path)
+    _write_manifest(tmp_path / "cases.csv", [(gt, pred), ("gt.raw", "gt.raw")])
+
+    def run_eval(manifest, out):
+        return run_cli(["eval", "--manifest", str(tmp_path / manifest),
+                        "--out", str(tmp_path / out), "--distance", distance])
+
+    assert run_eval("cases.csv", "out") == EXIT_PARTIAL
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [c["status"] for c in report["cases"]] == ["error", "ok"]
+    assert report["cases"][0]["error"].startswith(f"VolumeFormatError: {tmp_path / gt}: ")
+    assert "no usable physical size" in report["cases"][0]["error"]
+    # the refused case leaves no trace in the pooled quartiles
+    assert run_eval("ok.csv", "ok") == EXIT_OK
+    alone = json.loads((tmp_path / "ok" / "report.json").read_text())
+    assert report["quartile_recall"] == alone["quartile_recall"]

@@ -29,6 +29,7 @@ from lesionwise import (
     random_instances_spec,
     soft_dice_loss,
     voronoi_partition,
+    voronoi_partition_bruteforce,
 )
 from lesionwise import losses
 from lesionwise.components import ComponentLabeling
@@ -37,6 +38,7 @@ from oracles import (
     UNIT,
     dicece_over_voxels,
     finite_difference_grad,
+    flood_fill_label,
     grad_errors,
     mk_logits,
     mk_mask,
@@ -806,3 +808,92 @@ def test_labeling_is_checked_before_a_partition_is_built(monkeypatch):
     assert calls == []
     combined_loss("cc-dicece", logits, gt, lab=label_components(gt))
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# combined_loss against a composition of oracles
+# ---------------------------------------------------------------------------
+
+def _drawn_gt(data, shape):
+    """Empty; speckle (touching components, many on the lattice faces); a few
+    boxes that may touch, merge or lie on the faces; or single voxels on a
+    regular grid, whose Voronoi regions tie at every midpoint."""
+    how = data.draw(st.sampled_from(["empty", "speckle", "boxes", "grid"]))
+    gt = np.zeros(shape, dtype=bool)
+    if how == "speckle":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gt = rng.random(shape) < data.draw(st.sampled_from([0.1, 0.3, 0.6]))
+    elif how == "boxes":
+        for _ in range(data.draw(st.integers(1, 4))):
+            lo = [data.draw(st.integers(0, n - 1)) for n in shape]
+            hi = [data.draw(st.integers(a, n - 1)) for a, n in zip(lo, shape)]
+            gt[tuple(slice(a, b + 1) for a, b in zip(lo, hi))] = True
+    elif how == "grid":
+        step = data.draw(st.integers(2, 3))
+        gt[tuple(slice(data.draw(st.integers(0, step - 1)), None, step) for _ in shape)] = True
+    return gt
+
+
+def _oracle_combined(kind, gt, spacing, metric, weights):
+    """``combined_loss``'s scalar as a function of the logit array, from the
+    oracles only: flood-fill components, brute-force Voronoi regions and
+    DiceCE from its formula. A blob term spans the lattice with p = g = 0 on
+    the other components' voxels (logit -inf), which still count in the CE
+    mean, as the ``losses`` docstring defines it."""
+    count, labels = flood_fill_label(gt)
+    everywhere = np.ones(gt.shape, dtype=bool)
+    instance = None
+    if kind == "cc-dicece" and count:
+        vox = np.bincount(labels.ravel(), minlength=count + 1)[1:]
+        lab = ComponentLabeling(labels, count, vox, vox * spacing.voxel_volume, spacing)
+        region = voronoi_partition_bruteforce(lab, metric).region_of
+
+        def instance(logits):
+            return [dicece_over_voxels(logits, labels == k, region == k)
+                    for k in range(1, count + 1)]
+    elif kind == "blob-dicece" and count:
+        def instance(logits):
+            return [dicece_over_voxels(np.where((labels != 0) & (labels != k), -np.inf, logits),
+                                       labels == k, everywhere)
+                    for k in range(1, count + 1)]
+
+    def loss(logits):
+        value = weights.w_global * dicece_over_voxels(logits, gt, everywhere)
+        if instance is not None:
+            value += weights.w_instance * float(np.mean(instance(logits)))
+        return value
+    return loss
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_combined_loss_is_a_composition_of_oracles(data):
+    shape = data.draw(st.sampled_from([(1, 1, 1), (10, 10, 10)])
+                      | st.tuples(*[st.integers(1, 10)] * 3))
+    spacing = Spacing(*data.draw(st.tuples(*[st.sampled_from([0.5, 1.0, 2.0, 3.0])] * 3)))
+    metric = data.draw(st.sampled_from(["voxel", "physical"]))
+    weights = LossWeights(w_global=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                          w_instance=data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    gt = mk_mask(_drawn_gt(data, shape), spacing)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arr = np.asarray(rng.normal(0.0, 4.0, shape).clip(-30.0, 30.0),
+                     order=data.draw(st.sampled_from("CF")))
+    logits = mk_logits(arr, spacing)
+    lab = label_components(gt)
+    part = voronoi_partition(lab, metric) if lab.count else None
+    picks = data.draw(st.lists(st.integers(0, arr.size - 1), min_size=1, max_size=3,
+                               unique=True))
+    subset = np.unravel_index(np.array(picks), shape)
+
+    for kind in KINDS:
+        lv = combined_loss(kind, logits, gt, weights, metric=metric, lab=lab, part=part)
+        oracle = _oracle_combined(kind, gt.voxels, spacing, metric, weights)
+        assert math.isclose(lv.scalar, oracle(arr), rel_tol=1e-10, abs_tol=1e-12), kind
+
+        def at_subset(values):
+            work = arr.copy()
+            work[subset] = values
+            return oracle(work)
+
+        fd = finite_difference_grad(at_subset, arr[subset])
+        np.testing.assert_allclose(lv.grad[subset], fd, rtol=1e-4, atol=1e-8, err_msg=kind)

@@ -56,6 +56,24 @@ def test_zero_voxel_lattice_is_rejected(shape, message):
             cls(np.zeros(shape), UNIT)
 
 
+@pytest.mark.parametrize("shape, spacing, message", [
+    ((8, 8, 2), (1e160, 1e-160, 1.0), "squared diagonal inf"),
+    ((8, 8, 8), (1e102, 1e102, 1e102), "volume inf"),
+    ((4, 1, 1), (1e67, 1e67, 1e66), "volume 4e\\+200"),
+    ((2, 1, 1), (2e15, 1.0, 1.0), "squared diagonal 4e\\+30"),
+], ids=["diagonal-overflows", "volume-overflows", "volume-finite", "diagonal-finite"])
+def test_lattice_without_usable_physical_size_is_rejected(shape, spacing, message):
+    for cls in (BinaryMask, LogitVolume):
+        with pytest.raises(ValueError, match=f"no usable physical size: .*{message}"):
+            cls(np.zeros(shape), Spacing(*spacing))
+
+
+def test_lattice_just_below_the_physical_size_bound_is_accepted():
+    # the bound is 1e30: volume 1e29 mm^3, then squared diagonal 9.8e29 mm^2
+    assert BinaryMask(np.zeros((2, 1, 1)), Spacing(5e14, 1e14, 1.0)).voxels.shape == (2, 1, 1)
+    assert LogitVolume(np.zeros((1, 1, 10)), Spacing(1.0, 1.0, 1.1e14)).shape.nz == 10
+
+
 def test_logit_volume_rejects_non_finite():
     arr = np.zeros((2, 2, 2))
     arr[0, 0, 0] = np.inf

@@ -582,6 +582,9 @@ PROBES = [
                  EXIT_IO, "far.raw", id="loss-physical-diagonal-overflows"),
     pytest.param(["stats", "--masks", "{d}/far_masks"],
                  EXIT_IO, "s.raw", id="stats-volume-beyond-bound"),
+    pytest.param(["loss", "--gt", "{d}/gt.raw", "--logits", "{d}/logits.raw",
+                  "--w-dice", "1e308", "--w-ce", "1e308"],
+                 EXIT_USAGE, None, id="loss-weights-overflow"),
 ]
 
 
@@ -634,6 +637,34 @@ def test_module_entry_point_exits_2_with_one_line(tmp_path):
     assert proc.stderr.startswith("lesionwise voronoi: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_starts_no_loss_pool(tmp_path):
+    # eval runs on its own LESIONWISE_THREADS pool, which the loss pool (one
+    # worker per CPU) would oversubscribe. The lattice is more than one loss
+    # slab, so a loss call from eval would start the loss pool.
+    gt = np.zeros((48, 48, 40), dtype=bool)
+    gt[5:10, 5:10, 5:10] = gt[30:36, 30:36, 20:26] = True
+    logits = np.where(gt, 3.0, -3.0).astype(np.float32)
+    logits[40:44, 8:12, 30:34] = 2.0  # a false positive
+    write_volume(mk_mask(gt), tmp_path / "gt.raw")
+    write_volume(LogitVolume(logits, Spacing(1.0, 1.0, 1.0)), tmp_path / "logits.raw")
+    _write_manifest(tmp_path / "cases.csv", [("gt.raw", "logits.raw"), ("gt.raw", "gt.raw")])
+    script = ("import sys, threading\n"
+              "from lesionwise import cli, losses\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "loss_threads = [t.name for t in threading.enumerate()\n"
+              "                if t.name.startswith('lesionwise-loss')]\n"
+              "print(code, losses._POOL is None, loss_threads)\n")
+    src = str(Path(lesionwise.__file__).parents[1])
+    env = dict(os.environ, LESIONWISE_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", "--manifest", str(tmp_path / "cases.csv"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 True []", proc.stderr
 
 
 def test_eval_spacing_whose_voxel_volume_overflows_is_a_case_error(tmp_path, capsys):

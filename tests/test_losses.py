@@ -1,8 +1,11 @@
 import math
+import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -614,6 +617,119 @@ def test_new_layout_frees_the_old_workspace_first():
             finally:
                 tracemalloc.stop()
             assert peak <= (57 + 17) * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
+
+
+# ---------------------------------------------------------------------------
+# lattice slabs on the process's loss pool
+# ---------------------------------------------------------------------------
+
+def _slab_cases():
+    """Logits in C, F and permuted-axes layouts, float32 and float64, on
+    lattices with and without axes of length 1."""
+    cases = []
+    for seed, shape in ((80, (7, 6, 5)), (81, (1, 9, 5)), (82, (5, 7, 1))):
+        rng = np.random.default_rng(seed)
+        gt = mk_mask(rng.random(shape) < 0.3)
+        lab = label_components(gt)
+        part = voronoi_partition(lab)
+        c_arr = rng.normal(0.0, 3.0, size=(shape[1], shape[0], shape[2]))
+        for arr in (np.ascontiguousarray(np.transpose(c_arr, (1, 0, 2))),
+                    np.asfortranarray(np.transpose(c_arr, (1, 0, 2))),
+                    np.transpose(c_arr, (1, 0, 2))):
+            for dtype in (np.float64, np.float32):
+                cases.append((gt, lab, part, LogitVolume(arr.astype(dtype), UNIT)))
+    return cases
+
+
+def _slab_digests(cases):
+    out = []
+    for gt, lab, part, logits in cases:
+        out += [_digest(combined_loss(kind, logits, gt, lab=lab, part=part)) for kind in KINDS]
+        out.append(_digest(combined_loss("blob-dicece", logits, gt,
+                                         LossWeights(0.7, 1.9, 0.3, 1.3), lab=lab)))
+        out += [_digest(v) for v in cc_instance_terms(logits, gt, lab, part)]
+        out += [_digest(v) for v in blob_instance_terms(logits, gt, lab)]
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bits_do_not_depend_on_the_slabs_or_the_worker_count(monkeypatch, workers):
+    cases = _slab_cases()
+    want = _slab_digests(cases)  # each lattice is one slab, run inline
+    calls = Counter()
+    _count_calls(monkeypatch, losses, "_run_all", calls)
+    with ThreadPoolExecutor(workers, thread_name_prefix="lesionwise-loss") as pool:
+        monkeypatch.setattr(losses, "_POOL", pool)
+        # one-row slabs, then (on 7x6x5) runs of 2-3 rows that leave a shorter last slab
+        for slab_voxels in (1, 100):
+            monkeypatch.setattr(losses, "SLAB_VOXELS", slab_voxels)
+            calls.clear()
+            assert _slab_digests(cases) == want, slab_voxels
+            assert calls["_run_all"] > 0, slab_voxels
+
+
+def test_threads_sharing_the_loss_pool_match_a_fresh_thread(monkeypatch):
+    # The same check with one-row slabs, so that the calling threads' slabs
+    # queue on the one pool at once.
+    monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
+    calls = Counter()
+    _count_calls(monkeypatch, losses, "_run_all", calls)
+    test_threads_computing_at_once_match_a_fresh_thread()
+    assert calls["_run_all"] > 0
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_computes_the_same_bits(monkeypatch):
+    # The parent's pool has running workers when the child is forked; the
+    # child has none of them and must not wait on their queue.
+    monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
+    case = _reuse_cases()[1]  # cc-dicece, weighted, C-order logits
+    want = _run(case)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(_run(case)), daemon=True)
+    child.start()
+    send.close()  # so that a child that dies ends the pipe
+    got = recv.recv() if recv.poll(30) else None  # None: the child hangs
+    child.join(timeout=30 if got is not None else 0)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=30)
+    assert got == want
+    assert child.exitcode == 0
+
+
+def _raised(call):
+    try:
+        call()
+    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_threaded_call_raises_what_the_one_slab_call_raises(monkeypatch):
+    # The weighted gradient overflows float64 in combined_loss's slab work,
+    # under the caller's numpy error state whichever thread runs the slab.
+    gt, lab, part, logits = _slab_cases()[0]
+    big = LossWeights(1e308, 1e308, 1e307, 1.0)
+
+    def call():
+        combined_loss("cc-dicece", logits, gt, big, lab=lab, part=part)
+
+    outcomes = []
+    for errstate, action in (("raise", "default"), ("ignore", "error")):
+        with np.errstate(all=errstate), warnings.catch_warnings():
+            warnings.simplefilter(action)
+            want = _raised(call)
+            monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
+            got = _raised(call)
+            monkeypatch.undo()
+        assert got == want, errstate
+        outcomes.append(want)
+    assert outcomes == [(FloatingPointError, "overflow encountered in multiply"),
+                        (ValueError, "loss scalar is not finite: inf")]
 
 
 def test_labeling_or_partition_of_other_voxels_rejected():

@@ -76,15 +76,23 @@ def _is_nifti_path(path: Path) -> bool:
     return name.endswith(".nii") or name.endswith(".nii.gz")
 
 
-def _stored(vol) -> tuple[str, int, np.ndarray]:
-    """A volume's raw dtype name, NIfTI datatype code and voxels in that dtype."""
+def _stored(vol, path: Path) -> tuple[str, int, np.ndarray]:
+    """A volume's raw dtype name, NIfTI datatype code and voxels in that dtype.
+
+    Float voxels beyond the float32 range raise ``ValueError``, as the file
+    would hold Inf, which ``read_volume`` refuses.
+    """
     if isinstance(vol, BinaryMask):
         dtype_name, datatype = "u8", 2
     elif isinstance(vol, LogitVolume):
         dtype_name, datatype = "f32", 16
     else:
         raise TypeError(f"cannot write volume of type {type(vol).__name__}")
-    return dtype_name, datatype, vol.voxels.astype(RAW_DTYPES[dtype_name])
+    with np.errstate(over="ignore"):
+        data = vol.voxels.astype(RAW_DTYPES[dtype_name])
+    if dtype_name == "f32" and not np.isfinite(data).all():
+        raise ValueError(f"{path}: values beyond the float32 range cannot be written")
+    return dtype_name, datatype, data
 
 
 def write_volume(vol, path) -> None:
@@ -96,7 +104,7 @@ def write_volume(vol, path) -> None:
     if _is_nifti_path(path):
         write_nifti(vol, path)
         return
-    dtype_name, _, data = _stored(vol)
+    dtype_name, _, data = _stored(vol, path)
     header = {
         "shape": list(vol.shape.as_tuple()),
         "spacing": list(vol.spacing.as_tuple()),
@@ -361,7 +369,7 @@ def _read_nifti(path: Path, as_mask: bool):
 def write_nifti(vol, path) -> None:
     """Write a minimal single-file little-endian NIfTI-1 volume."""
     path = Path(path)
-    _, datatype, data = _stored(vol)
+    _, datatype, data = _stored(vol, path)
 
     nx, ny, nz = vol.shape.as_tuple()
     sx, sy, sz = vol.spacing.as_tuple()

@@ -18,9 +18,10 @@ and cross-entropy is the mean over S of the stable logit form
   is C plus the background, which every term shares, and the CE mean still
   counts the masked voxels. Each false positive affects every term.
 
-Internally one pass over the lattice computes the sigmoid, its derivative
-and the voxel CE once per call, and one reduction turns a voxel -> group
-index into per-term Dice and CE values and per-group gradient coefficients.
+Internally one pass over the lattice computes the sigmoid and the voxel CE
+once per call, and one reduction turns a voxel -> group index into per-term
+Dice and CE values and per-group gradient coefficients. Each gradient is one
+more pass, which recomputes p (1 - p) and p - g from p and the GT.
 ``combined_loss`` builds the pass once and hands it to the global and the
 instance loss, and checks the gradient for NaN and Inf once.
 
@@ -29,14 +30,14 @@ lattices held per thread (a ``threading.local``). The next call on the same
 thread reuses it while the logits' shape and strides stay the same, and
 replaces it when either changes (a switch between float32 and float64
 logits changes the strides), so a training loop with a fixed patch shape
-reuses it at every step whatever the ground truth. It holds 57 bytes
-per voxel (six float64 lattices, a bool GT and an intp group index), and it
+reuses it at every step whatever the ground truth. It holds 41 bytes per
+voxel (four float64 lattices, a bool GT and an intp group index), and it
 stays resident after the call returns, until the thread ends or a call of
-another shape or layout replaces it: one call on a 512^3 volume keeps about
-7.6 GB. A warm call allocates only the gradient it returns, plus a bool
-lattice for its finiteness check and arrays the size of the GT foreground
-or of the component count; with logits not in C order the instance sums
-also take a C-order copy of a lattice, one at a time.
+another shape or layout replaces it: about 36 MB at 96^3, and one call on a
+512^3 volume keeps about 5.5 GB. A warm call allocates only the gradient it
+returns, plus a bool lattice for its finiteness check and arrays the size
+of the GT foreground or of the component count; with logits not in C order
+the instance sums also take a C-order copy of a lattice, one at a time.
 
 The elementwise lattice work (the pass, the gradients and the products and
 copies that feed the sums) runs on slabs of about ``SLAB_VOXELS`` voxels,
@@ -56,21 +57,24 @@ whose bits depend on the order of summation stay one whole-lattice call
 each: ``np.sum``'s pairwise totals and ``bincount``'s sequential group
 sums. With C-order logits the two lattice-wide group sums of an instance
 loss run at once, as two whole calls on the pool. The slabs are views of
-the workspace, so it still holds 57 bytes per voxel, and a warm call
-allocates what it did on one thread, plus buffers of at most a slab.
+the workspace, so it still holds 41 bytes per voxel, and a warm call
+allocates what it did on one thread, plus buffers of at most a slab per
+worker: with logits not in C order, each ``np.take`` of an instance
+gradient writes its slab through such a buffer.
 
 Values that depend on the ground truth alone are cached on its immutable
 objects rather than recounted per call: the coordinates and group of each
 GT voxel (``ComponentLabeling.foreground_coords`` and ``foreground_ids``),
 the component sizes (``volumes_vox``) and the Voronoi region sizes
 (``VoronoiPartition.region_sizes``). The instance sums gather p at those
-coordinates and the gradients scatter there. So ``lab`` must label exactly
-``gt``'s voxels and ``part`` must put each of ``lab``'s components in its
-own region, as ``label_components`` and ``voronoi_partition`` make them;
-else ``ValueError``. Every instance-loss call checks both, in time
-proportional to the GT voxels (one ``count_nonzero`` of the mask and
-gathers at the cached coordinates), and remembers nothing: a mismatch
-raises on every call, whatever earlier calls passed.
+coordinates. So ``lab`` must label exactly ``gt``'s voxels and ``part`` must
+put each of ``lab``'s components in its own region, as ``label_components``
+and ``voronoi_partition`` make them; else ``ValueError``. Every
+instance-loss call checks both, in time proportional to the GT voxels (one
+``count_nonzero`` of the mask and gathers at the cached coordinates), and
+remembers nothing: a mismatch raises on every call, whatever earlier calls
+passed. Nothing checks that ``part`` is ``lab``'s Voronoi partition: one with
+other region borders that still passes gives other values, without error.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -218,17 +222,19 @@ class _Workspace:
     times slower. ``index`` is C order, so the group sums are taken by
     ``bincount`` in C order whatever the layout and their bits do not
     depend on it.
+
+    ``grad`` is scratch in the pass, and ``ce`` once ``_reduce`` has summed
+    it: a grouped gradient writes its CE coefficients there. No stage reads
+    ``ce`` after a gradient; ``combined_loss`` reduces its instance terms
+    after the global gradient, which leaves ``ce`` alone.
     """
 
     def __init__(self, like: np.ndarray):
         self.key = (like.shape, like.strides)
-        self.p, self.dpdl, self.r, self.ce, self.buf, self.grad = (
-            np.empty_like(like, dtype=np.float64) for _ in range(6)
+        self.p, self.ce, self.buf, self.grad = (
+            np.empty_like(like, dtype=np.float64) for _ in range(4)
         )
-        # p = sigmoid of the clamped logits, dpdl = p (1 - p), r = p - g the
-        # CE residual, ce = softplus(l) - g l; buf is scratch for every
-        # reduction and gradient, grad the gradient a loss leaves for
-        # combined_loss.
+        # p = sigmoid of the clamped logits, ce = softplus(l) - g l
         self.gt = np.empty_like(like, dtype=bool)
         self.index = np.empty(like.shape, dtype=np.intp)  # voxel -> group
 
@@ -249,18 +255,15 @@ def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _Workspace:
     ws = _workspace(logits.voxels)
 
     def slab(i):
-        p, dpdl, ce, buf, g = ws.p[i], ws.dpdl[i], ws.ce[i], ws.buf[i], ws.gt[i]
-        lc = np.clip(logits.voxels[i], -LOGIT_CLAMP, LOGIT_CLAMP, out=ws.r[i])  # r is set last
-        e = sigmoid_parts(lc, out=(p, buf, dpdl))[1]  # dpdl holds 1 + e until set
+        p, ce, g = ws.p[i], ws.ce[i], ws.gt[i]
+        lc = np.clip(logits.voxels[i], -LOGIT_CLAMP, LOGIT_CLAMP, out=ws.grad[i])
+        e = sigmoid_parts(lc, out=(p, ws.buf[i], ce))[1]  # ce holds 1 + e until set
         np.copyto(g, gt.voxels[i])
         # softplus(l) = max(l, 0) + log1p(e); on GT voxels softplus(l) - l =
         # softplus(-l), the CE of a positive.
         np.maximum(lc, 0.0, out=ce)
         ce += np.log1p(e, out=e)
-        ce -= np.multiply(lc, g, out=buf)
-        np.subtract(1.0, p, out=dpdl)
-        dpdl *= p
-        np.subtract(p, g, out=ws.r[i])
+        ce -= np.multiply(lc, g, out=lc)
 
     _each_slab(slab, ws.p)
     return ws
@@ -357,29 +360,21 @@ def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
             a, b, c = (np.concatenate(([x.sum() if t.shared else 0.0], x)) for x in (a, b, c))
         off_gt, on_gt = 0.0 * a + b, a + b
 
-    def tail(i):
-        o = out[i]
-        o *= vp.dpdl[i]
-        o += vp.buf[i]  # the CE part
+    def slab(i):
+        o, p, g, buf = out[i], vp.p[i], vp.gt[i], vp.buf[i]
+        if t.lab is None:
+            np.copyto(o, off_gt[0])
+            np.copyto(o, on_gt[0], where=g)
+            ce_coef = c[0]
+        else:  # a GT voxel's group is its own component
+            idx = vp.index[i]
+            np.take(off_gt, idx, out=o, mode="clip")
+            np.copyto(o, np.take(on_gt, idx, out=buf, mode="clip"), where=g)
+            ce_coef = np.take(c, idx, out=vp.ce[i], mode="clip")
+        o *= np.multiply(np.subtract(1.0, p, out=buf), p, out=buf)  # p' = p (1 - p)
+        o += np.multiply(np.subtract(p, g, out=buf), ce_coef, out=buf)  # the CE part
 
-    if t.lab is None:
-        def slab(i):
-            np.copyto(out[i], off_gt[0])
-            np.copyto(out[i], on_gt[0], where=vp.gt[i])
-            np.multiply(vp.r[i], c[0], out=vp.buf[i])
-            tail(i)
-
-        _each_slab(slab, out)
-        return out
-
-    def gather(i):
-        np.take(off_gt, vp.index[i], out=out[i], mode="clip")
-        ce_grad = np.take(c, vp.index[i], out=vp.buf[i], mode="clip")
-        ce_grad *= vp.r[i]
-
-    _each_slab(gather, out)
-    out[t.lab.foreground_coords] = on_gt[t.lab.foreground_ids]
-    _each_slab(tail, out)
+    _each_slab(slab, out)
     return out
 
 
@@ -411,9 +406,9 @@ def dicece_loss(
 ) -> LossValue:
     """Weighted sum of soft Dice and cross-entropy over the whole lattice.
 
-    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
-    the thread ends or a call of another shape or memory layout replaces it
-    (see the module docstring).
+    Leaves this thread's loss workspace resident until the thread ends or a
+    call of another shape or memory layout replaces it (see the module
+    docstring for its size).
     """
     vp = _as_pass(logits, gt)
     return _mean_of_terms(logits, vp, _reduce(vp), w_dice, w_ce)
@@ -484,9 +479,9 @@ def cc_instance_loss(
     Regions are disjoint, so each voxel receives exactly one component's
     gradient scaled by 1/count.
 
-    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
-    the thread ends or a call of another shape or memory layout replaces it
-    (see the module docstring).
+    Leaves this thread's loss workspace resident until the thread ends or a
+    call of another shape or memory layout replaces it (see the module
+    docstring for its size).
     """
     return _mean_of_terms(logits, *_instance_terms(logits, gt, lab, part), w_dice, w_ce)
 
@@ -521,9 +516,9 @@ def blob_instance_loss(
     Masked voxels contribute zero gradient; a background voxel accumulates
     gradient from every component's term.
 
-    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
-    the thread ends or a call of another shape or memory layout replaces it
-    (see the module docstring).
+    Leaves this thread's loss workspace resident until the thread ends or a
+    call of another shape or memory layout replaces it (see the module
+    docstring for its size).
     """
     return _mean_of_terms(logits, *_instance_terms(logits, gt, lab), w_dice, w_ce)
 
@@ -556,14 +551,15 @@ def combined_loss(
     """Global DiceCE plus the selected instance term, weighted 1:1 by default.
 
     ``lab`` and ``part`` may be supplied to reuse precomputed structures;
-    they must derive from ``gt`` (a ``lab`` of other voxels, a ``part`` of
-    another labeling, or a ``part`` of another ``metric`` raises
-    ``ValueError``), and are checked on every call. With no ground-truth
+    they must derive from ``gt`` and ``metric``. Every kind refuses a
+    ``part`` of another ``metric``; beyond that ``dicece`` reads and checks
+    neither, and the instance kinds make the O(GT) checks of the module
+    docstring (``blob-dicece`` on ``lab`` only). With no ground-truth
     components there is no instance term and the value is the global term.
 
-    Leaves this thread's loss workspace, 57 bytes per voxel, resident until
-    the thread ends or a call of another shape or memory layout replaces it
-    (see the module docstring).
+    Leaves this thread's loss workspace resident until the thread ends or a
+    call of another shape or memory layout replaces it (see the module
+    docstring for its size).
     """
     kind = LossKind(kind)
     _check_metric(metric)

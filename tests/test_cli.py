@@ -585,6 +585,9 @@ PROBES = [
     pytest.param(["loss", "--gt", "{d}/gt.raw", "--logits", "{d}/logits.raw",
                   "--w-dice", "1e308", "--w-ce", "1e308"],
                  EXIT_USAGE, None, id="loss-weights-overflow"),
+    pytest.param(["loss", "--gt", "{d}/gt.raw", "--logits", "{d}/logits.raw",
+                  "--w-global", "1e300", "--grad-out", "{d}/g.raw"],
+                 EXIT_USAGE, "g.raw", id="loss-grad-out-beyond-float32"),
 ]
 
 

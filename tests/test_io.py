@@ -187,6 +187,15 @@ def test_writer_rejects_a_non_volume(tmp_path, name):
     assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("name", ["x.raw", "x.nii", "x.nii.gz"])
+def test_writer_refuses_logits_beyond_float32_and_writes_nothing(tmp_path, name):
+    arr = np.zeros((2, 2, 2))
+    arr[1, 0, 1] = -1e300
+    with pytest.raises(ValueError, match=f"{name}: values beyond the float32 range"):
+        write_volume(mk_logits(arr), tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_mask_treats_any_nonzero_as_foreground(tmp_path):
     arr = np.zeros((2, 2, 2))
     arr[0, 0, 0] = 3.5

@@ -417,6 +417,31 @@ def test_combined_loss_makes_one_voxel_pass(monkeypatch):
             assert calls["_voxel_pass"] == 1, (kind, sorted(given))
 
 
+def test_each_gradient_makes_one_slab_pass(monkeypatch):
+    gt, lab, logits = _random_case(63, n_components=3)
+    part = voronoi_partition(lab)
+    grad = losses._grad
+    per_grad = []  # the _each_slab calls of each _grad call
+
+    def counted_grad(*args, **kwargs):
+        calls = Counter()
+        with monkeypatch.context() as m:
+            _count_calls(m, losses, "_each_slab", calls)
+            out = grad(*args, **kwargs)
+        per_grad.append(calls["_each_slab"])
+        return out
+
+    monkeypatch.setattr(losses, "_grad", counted_grad)
+    runs = {kind: lambda k=kind: combined_loss(k, logits, gt, lab=lab, part=part)
+            for kind in KINDS}
+    runs["cc_instance_terms"] = lambda: cc_instance_terms(logits, gt, lab, part)
+    runs["blob_instance_terms"] = lambda: blob_instance_terms(logits, gt, lab)
+    for name, run in runs.items():
+        per_grad.clear()
+        run()
+        assert per_grad and per_grad == [1] * len(per_grad), (name, per_grad)
+
+
 def test_benchmark_layer_calls_see_each_loss_once(monkeypatch, benchmark_tracer):
     # The traced benchmark run times the losses by wrapping these attributes;
     # tests/test_bench_hooks.py checks that every wrapped attribute resolves.
@@ -593,6 +618,35 @@ def _mid_size_case():
     return gt, lab, voronoi_partition(lab), mk_logits(arr), mk_logits(np.asfortranarray(arr))
 
 
+def _workspace_bytes_per_voxel(like):
+    ws = losses._Workspace(like)
+    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    return sum(a.nbytes for a in arrays) / like.size
+
+
+# p, ce, a scratch lattice and the gradient in float64, the bool GT and the
+# intp group index
+WORKSPACE_B_PER_VOX = 4 * 8 + 1 + 8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", "CF")
+def test_workspace_holds_only_what_outlives_a_stage(dtype, order):
+    like = np.zeros((7, 6, 5), dtype=dtype, order=order)
+    assert _workspace_bytes_per_voxel(like) == WORKSPACE_B_PER_VOX
+
+
+def test_cold_call_allocates_the_workspace_and_a_warm_call():
+    gt, lab, part, c_logits, f_logits = _mid_size_case()
+    bound = (WORKSPACE_B_PER_VOX + 17) * gt.voxels.size + 65536
+    for kind in KINDS:
+        for logits in (c_logits, f_logits):
+            # a fresh thread builds its workspace in the traced call
+            peak = _traced_peak(lambda: _in_fresh_thread(
+                lambda: combined_loss(kind, logits, gt, lab=lab, part=part)))
+            assert peak <= bound, (kind, peak / gt.voxels.size)
+
+
 def test_warm_call_allocates_only_the_gradient():
     gt, lab, part, c_logits, f_logits = _mid_size_case()
     for kind in KINDS:
@@ -603,9 +657,10 @@ def test_warm_call_allocates_only_the_gradient():
 
 
 def test_new_layout_frees_the_old_workspace_first():
-    # The replaced workspace (57 B/vox) must be gone before the new one is
-    # allocated, so a layout switch peaks at one workspace plus a warm call.
+    # The replaced workspace must be gone before the new one is allocated,
+    # so a layout switch peaks at one workspace plus a warm call.
     gt, lab, part, c_logits, f_logits = _mid_size_case()
+    ws = _workspace_bytes_per_voxel(c_logits.voxels)
     for kind in KINDS:
         for first, second in ((c_logits, f_logits), (f_logits, c_logits)):
             tracemalloc.start()  # so that the old workspace is traced too
@@ -616,7 +671,7 @@ def test_new_layout_frees_the_old_workspace_first():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= (57 + 17) * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
+            assert peak <= (ws + 17) * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ that cannot be read or parsed, volumes whose grids differ, or an output path
 that cannot be written; 3 some ``eval`` cases failed, each recorded in the
 report. Subcommands raise; ``main`` is the one error boundary and prints one
 line ``lesionwise <command>: <message>``.
-Reports are fully deterministic: identical inputs and configuration produce
-byte-identical files regardless of the worker-pool size
-(``LESIONWISE_THREADS``).
+``eval`` runs its cases, and the losses their lattice slabs, on the
+package's one worker pool: ``LESIONWISE_THREADS`` workers, by default one
+per usable CPU. Reports are fully deterministic: identical inputs and
+configuration produce byte-identical files whatever the worker count.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ import dataclasses
 import functools
 import io as _io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _pool
 from .components import label_components
 from .dataset_stats import corpus_stats
 from .io import (VolumeFormatError, _is_nifti_path, _sidecar_path, read_mask, read_volume,
@@ -64,13 +63,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LESIONWISE_THREADS", "4")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"LESIONWISE_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def _num(x):
     """JSON-safe number: None / NaN become null."""
     if x is None:
@@ -100,7 +92,7 @@ def _read_manifest(path: Path) -> list[tuple[str, str]]:
 
 
 def cmd_eval(args) -> int:
-    workers = _worker_count()
+    _pool.worker_count()  # a bad LESIONWISE_THREADS fails before any output
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"--threshold must be in (0, 1), got {args.threshold}")
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
@@ -117,29 +109,28 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_case(row):
-        gt_rel, pred_rel = row
-        gt = read_mask(base / gt_rel)
-        pred = read_volume(base / pred_rel)
-        if isinstance(pred, LogitVolume):
-            pred = binarize(pred, args.threshold)
-        return case_metrics(pred, gt, metric=args.distance)
+    def run_case(gt_rel, pred_rel):
+        try:
+            gt = read_mask(base / gt_rel)
+            pred = read_volume(base / pred_rel)
+            if isinstance(pred, LogitVolume):
+                pred = binarize(pred, args.threshold)
+            return case_metrics(pred, gt, metric=args.distance)
+        except INPUT_ERRORS as exc:  # the line, not the exception, whose frames hold the volumes
+            return f"{type(exc).__name__}: {exc}"
 
     case_records, ok_metrics = [], []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_case, row) for row in rows]
-        for idx, ((gt_rel, pred_rel), fut) in enumerate(zip(rows, futures)):
-            rec = {"index": idx, "gt": gt_rel, "pred": pred_rel}
-            try:
-                cm = fut.result()
-            except INPUT_ERRORS as exc:
-                rec.update(status="error", error=f"{type(exc).__name__}: {exc}")
-            else:
-                rec["status"] = "ok"
-                rec["metrics"] = {f: _num(getattr(cm, f)) for f in METRIC_FIELDS}
-                rec["metrics"].update((f, getattr(cm, f)) for f in COUNT_FIELDS)
-                ok_metrics.append(cm)
-            case_records.append(rec)
+    results = _pool.run_all([functools.partial(run_case, *row) for row in rows])
+    for idx, ((gt_rel, pred_rel), cm) in enumerate(zip(rows, results)):
+        rec = {"index": idx, "gt": gt_rel, "pred": pred_rel}
+        if isinstance(cm, str):
+            rec.update(status="error", error=cm)
+        else:
+            rec["status"] = "ok"
+            rec["metrics"] = {f: _num(getattr(cm, f)) for f in METRIC_FIELDS}
+            rec["metrics"].update((f, getattr(cm, f)) for f in COUNT_FIELDS)
+            ok_metrics.append(cm)
+        case_records.append(rec)
 
     agg_rec = None
     if ok_metrics:
@@ -196,6 +187,7 @@ def _config_echo(args) -> dict:
 
 
 def cmd_loss(args) -> int:
+    _pool.worker_count()  # a bad LESIONWISE_THREADS fails before any output
     weights = LossWeights(args.w_global, args.w_instance, args.w_dice, args.w_ce)
     gt = read_mask(args.gt)
     logits = read_volume(args.logits)

@@ -41,26 +41,14 @@ the instance sums also take a C-order copy of a lattice, one at a time.
 
 The elementwise lattice work (the pass, the gradients and the products and
 copies that feed the sums) runs on slabs of about ``SLAB_VOXELS`` voxels,
-views of the workspace cut along the slowest axis of its layout, on one
-thread pool per process with a worker per usable CPU
-(``os.sched_getaffinity``, else ``os.cpu_count``); numpy releases the GIL
-inside its ufunc loops. There is no option for the worker count. A lattice
-of one slab runs on the calling thread, so no worker starts before the
-first call on a larger lattice, and importing the package or running
-``eval`` starts none. Threads that take losses at once share the pool, so
-the losses never run more workers than there are CPUs. A forked child
-starts a pool of its own, and each slab runs in a copy of the caller's
-``contextvars`` context, so ``np.errstate`` holds in the workers. Each voxel
-goes through the same ufunc loop with the same operands whatever the slabs,
-so scalars and gradients are bit-identical for any worker count. The sums
-whose bits depend on the order of summation stay one whole-lattice call
-each: ``np.sum``'s pairwise totals and ``bincount``'s sequential group
-sums. With C-order logits the two lattice-wide group sums of an instance
-loss run at once, as two whole calls on the pool. The slabs are views of
-the workspace, so it still holds 41 bytes per voxel, and a warm call
-allocates what it did on one thread, plus buffers of at most a slab per
-worker: with logits not in C order, each ``np.take`` of an instance
-gradient writes its slab through such a buffer.
+views of the workspace cut along the slowest axis of its layout, through
+``lesionwise._pool`` (see there for the worker count); numpy releases the
+GIL inside its ufunc loops. Each voxel sees the same ufunc loop and operands
+whatever the slabs, and the sums whose bits depend on the order of
+summation (``np.sum``'s pairwise, ``bincount``'s sequential) stay one
+whole-lattice call each, so the bits do not depend on the worker count.
+With logits not in C order each worker's ``np.take`` of an instance
+gradient writes its slab through a slab-sized buffer.
 
 Values that depend on the ground truth alone are cached on its immutable
 objects rather than recounted per call: the coordinates and group of each
@@ -68,13 +56,14 @@ GT voxel (``ComponentLabeling.foreground_coords`` and ``foreground_ids``),
 the component sizes (``volumes_vox``) and the Voronoi region sizes
 (``VoronoiPartition.region_sizes``). The instance sums gather p at those
 coordinates. So ``lab`` must label exactly ``gt``'s voxels and ``part`` must
-put each of ``lab``'s components in its own region, as ``label_components``
-and ``voronoi_partition`` make them; else ``ValueError``. Every
-instance-loss call checks both, in time proportional to the GT voxels (one
-``count_nonzero`` of the mask and gathers at the cached coordinates), and
-remembers nothing: a mismatch raises on every call, whatever earlier calls
-passed. Nothing checks that ``part`` is ``lab``'s Voronoi partition: one with
-other region borders that still passes gives other values, without error.
+be a partition of ``lab``, as ``label_components`` and ``voronoi_partition``
+make them; else ``ValueError``. Every instance-loss call checks both and
+remembers nothing, so a mismatch raises on every call. The labeling check
+is O(GT): a ``count_nonzero`` of the mask and gathers at the cached
+coordinates. The partition check is O(1) when ``part.lab`` is ``lab`` and
+O(lattice) when it is an equal labeling. A partition built by hand
+(``lab=None``) is only checked, in O(GT), to put each component in its own
+region; one with other borders that passes gives other values, silently.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -82,18 +71,16 @@ bound this changes probabilities by less than 1e-17 and keeps exp() finite.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import functools
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _pool
 from .components import ComponentLabeling, label_components
 from .volumes import BinaryMask, LogitVolume, require_same_grid, sigmoid_parts
 from .voronoi import EmptyGroundTruthError, VoronoiPartition, _check_metric, voronoi_partition
@@ -144,46 +131,6 @@ class LossValue:
         self.grad.setflags(write=False)
 
 
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The process's loss pool, one worker per usable CPU, made on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-            _POOL = ThreadPoolExecutor(cpus or os.cpu_count() or 1,
-                                       thread_name_prefix="lesionwise-loss")
-        return _POOL
-
-
-def _forget_pool() -> None:
-    # A forked child has only the forking thread: the parent's workers, and
-    # whoever held the lock, are not there, so the child makes its own pool.
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_all(calls) -> list:
-    """Run each call on the pool and return their results in order.
-
-    Each runs in its own copy of the caller's context, which carries numpy's
-    error state (``np.errstate``). Every call has ended before anything is
-    returned or raised, so none still writes to the workspace afterwards;
-    the first failed call, in order, raises.
-    """
-    pool = _pool()
-    futures = [pool.submit(contextvars.copy_context().run, call) for call in calls]
-    wait(futures)
-    return [f.result() for f in futures]
-
-
 def _slabs(like: np.ndarray) -> list[tuple]:
     """Index tuples of ``like``'s slabs: runs of rows along the slowest axis
     of its layout, so each slab is contiguous in C, F and permuted layouts.
@@ -201,14 +148,9 @@ def _each_slab(fn, like: np.ndarray) -> None:
 
     ``fn`` applies the same elementwise ufuncs to each slab of its lattices
     that it would apply to the whole, so the bits do not depend on the slab
-    size or the worker count. A lattice of one slab runs inline on the
-    calling thread.
+    size or the worker count.
     """
-    slabs = _slabs(like)
-    if len(slabs) < 2:
-        fn(...)
-    else:
-        _run_all([functools.partial(fn, i) for i in slabs])
+    _pool.run_all([functools.partial(fn, i) for i in _slabs(like)])
 
 
 class _Workspace:
@@ -327,7 +269,7 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
 
     # Both at once where ravel is a view; else one C-order copy at a time.
     if vp.p.flags.c_contiguous and len(_slabs(vp.p)) > 1:
-        psum, ce_sum = _run_all([functools.partial(group_sum, x) for x in (vp.p, vp.ce)])
+        psum, ce_sum = _pool.run_all([functools.partial(group_sum, x) for x in (vp.p, vp.ce)])
     else:
         psum, ce_sum = group_sum(vp.p), group_sum(vp.ce)
     sums = (inter, psum, ce_sum)
@@ -406,9 +348,7 @@ def dicece_loss(
 ) -> LossValue:
     """Weighted sum of soft Dice and cross-entropy over the whole lattice.
 
-    Leaves this thread's loss workspace resident until the thread ends or a
-    call of another shape or memory layout replaces it (see the module
-    docstring for its size).
+    Leaves this thread's loss workspace resident (see the module docstring).
     """
     vp = _as_pass(logits, gt)
     return _mean_of_terms(logits, vp, _reduce(vp), w_dice, w_ce)
@@ -432,23 +372,31 @@ def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
         )
 
 
+def _partitions(part: VoronoiPartition, lab: ComponentLabeling) -> bool:
+    """Whether ``part`` may be ``lab``'s partition: one made from ``lab``
+    (O(1)) or from an equal labeling (O(lattice)), or, if it names no
+    labeling, one that puts each component in its own region (O(GT))."""
+    if part.region_of.shape != lab.labels.shape or part.count != lab.count:
+        return False
+    if part.lab is None:
+        return np.array_equal(part.region_of[lab.foreground_coords], lab.foreground_ids)
+    return part.lab is lab or np.array_equal(part.lab.labels, lab.labels)
+
+
 def _instance_terms(logits, gt, lab, part=None):
     """Check an instance loss's inputs, then take the pass and sum its terms.
 
     With ``part`` the terms are CC's Voronoi regions, else blob's masked
-    lattices. Every call checks, in time proportional to the GT voxels and
-    with no memory of earlier calls, that ``lab`` labels exactly ``gt``'s
-    voxels and that ``part`` puts each of ``lab``'s components in its own
-    region.
+    lattices. Every call checks, with no memory of earlier calls, that
+    ``lab`` labels exactly ``gt``'s voxels (O(GT)) and that ``part`` is a
+    partition of ``lab`` (``_partitions``).
     """
     _check_labeling(lab, gt)
     if lab.count < 1:
         raise EmptyGroundTruthError(
             "instance loss needs at least one ground-truth component"
         )
-    if part is not None and (
-            part.region_of.shape != gt.voxels.shape or part.count != lab.count
-            or not np.array_equal(part.region_of[lab.foreground_coords], lab.foreground_ids)):
+    if part is not None and not _partitions(part, lab):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
     return vp, _reduce(vp, lab, part)
@@ -479,9 +427,7 @@ def cc_instance_loss(
     Regions are disjoint, so each voxel receives exactly one component's
     gradient scaled by 1/count.
 
-    Leaves this thread's loss workspace resident until the thread ends or a
-    call of another shape or memory layout replaces it (see the module
-    docstring for its size).
+    Leaves this thread's loss workspace resident (see the module docstring).
     """
     return _mean_of_terms(logits, *_instance_terms(logits, gt, lab, part), w_dice, w_ce)
 
@@ -516,9 +462,7 @@ def blob_instance_loss(
     Masked voxels contribute zero gradient; a background voxel accumulates
     gradient from every component's term.
 
-    Leaves this thread's loss workspace resident until the thread ends or a
-    call of another shape or memory layout replaces it (see the module
-    docstring for its size).
+    Leaves this thread's loss workspace resident (see the module docstring).
     """
     return _mean_of_terms(logits, *_instance_terms(logits, gt, lab), w_dice, w_ce)
 
@@ -553,13 +497,11 @@ def combined_loss(
     ``lab`` and ``part`` may be supplied to reuse precomputed structures;
     they must derive from ``gt`` and ``metric``. Every kind refuses a
     ``part`` of another ``metric``; beyond that ``dicece`` reads and checks
-    neither, and the instance kinds make the O(GT) checks of the module
-    docstring (``blob-dicece`` on ``lab`` only). With no ground-truth
-    components there is no instance term and the value is the global term.
+    neither, and the instance kinds make the checks of the module docstring
+    (``blob-dicece`` on ``lab`` only). With no ground-truth components there
+    is no instance term and the value is the global term.
 
-    Leaves this thread's loss workspace resident until the thread ends or a
-    call of another shape or memory layout replaces it (see the module
-    docstring for its size).
+    Leaves this thread's loss workspace resident (see the module docstring).
     """
     kind = LossKind(kind)
     _check_metric(metric)

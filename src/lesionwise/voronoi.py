@@ -129,11 +129,13 @@ class VoronoiPartition:
 
     ``region_of`` holds the winning component ID (1..count) for every voxel.
     Regions are pairwise disjoint and cover the lattice by construction.
+    ``lab`` is the labeling partitioned; ``None`` for one built by hand.
     """
 
     region_of: np.ndarray
     count: int
     metric: str
+    lab: ComponentLabeling | None = None
 
     def __post_init__(self):
         self.region_of.setflags(write=False)
@@ -241,7 +243,7 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
 
     shape = lab.labels.shape
     if lab.count == 1:
-        return VoronoiPartition(region_of=np.ones(shape, dtype=np.int32), count=1, metric=metric)
+        return VoronoiPartition(np.ones(shape, dtype=np.int32), 1, metric, lab)
 
     # Integer squares in place: float64 was 4-27% slower, peak 27-40 vs 18-33 B/vox.
     if metric == "voxel":
@@ -273,11 +275,7 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
         np.minimum(best[win], d2, out=best[win])
         del feat, d2  # free this window's arrays before the next EDT allocates its own
 
-    return VoronoiPartition(
-        region_of=region,
-        count=lab.count,
-        metric=metric,
-    )
+    return VoronoiPartition(region, lab.count, metric, lab)
 
 
 # 2.5-5.5x faster than ndimage.binary_erosion(fg, border_value=1), 88^3 to 256x256x160, 2 CPUs.
@@ -381,8 +379,4 @@ def voronoi_partition_bruteforce(
             region[closer] = cid
             np.minimum(best, d2, out=best)
 
-    return VoronoiPartition(
-        region_of=region,
-        count=lab.count,
-        metric=metric,
-    )
+    return VoronoiPartition(region, lab.count, metric, lab)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -447,7 +448,7 @@ def test_unknown_subcommand_is_usage_error():
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"])
-def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, threads):
+def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, figure1_files, threads):
     manifest = tmp_path / "cases.csv"
     _write_manifest(manifest, [("a", "b")])
     monkeypatch.setenv("LESIONWISE_THREADS", threads)
@@ -455,6 +456,11 @@ def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, threads)
         == EXIT_USAGE
     assert "LESIONWISE_THREADS" in _one_line_error(capsys, "eval")
     assert not (tmp_path / "o").exists()
+    assert run_cli(["loss", "--gt", str(figure1_files / "gt.raw"),
+                    "--logits", str(figure1_files / "pred_partial.raw"),
+                    "--grad-out", str(tmp_path / "g.raw")]) == EXIT_USAGE
+    assert "LESIONWISE_THREADS" in _one_line_error(capsys, "loss")
+    assert not (tmp_path / "g.raw").exists()
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
@@ -642,10 +648,10 @@ def test_module_entry_point_exits_2_with_one_line(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_eval_starts_no_loss_pool(tmp_path):
-    # eval runs on its own LESIONWISE_THREADS pool, which the loss pool (one
-    # worker per CPU) would oversubscribe. The lattice is more than one loss
-    # slab, so a loss call from eval would start the loss pool.
+def test_eval_and_a_loss_share_one_pool_of_the_set_size(tmp_path):
+    # eval's cases and the loss slabs run on one process-wide pool, so the
+    # process never holds more threads than LESIONWISE_THREADS workers.
+    # The lattice is more than one loss slab, so the loss uses the pool.
     gt = np.zeros((48, 48, 40), dtype=bool)
     gt[5:10, 5:10, 5:10] = gt[30:36, 30:36, 20:26] = True
     logits = np.where(gt, 3.0, -3.0).astype(np.float32)
@@ -654,20 +660,45 @@ def test_eval_starts_no_loss_pool(tmp_path):
     write_volume(LogitVolume(logits, Spacing(1.0, 1.0, 1.0)), tmp_path / "logits.raw")
     _write_manifest(tmp_path / "cases.csv", [("gt.raw", "logits.raw"), ("gt.raw", "gt.raw")])
     script = ("import sys, threading\n"
-              "from lesionwise import cli, losses\n"
-              "code = cli.main(sys.argv[1:])\n"
-              "loss_threads = [t.name for t in threading.enumerate()\n"
-              "                if t.name.startswith('lesionwise-loss')]\n"
-              "print(code, losses._POOL is None, loss_threads)\n")
+              "from lesionwise import cli, combined_loss, read_mask, read_volume\n"
+              "code = cli.main(sys.argv[3:])\n"
+              "combined_loss('cc-dicece', read_volume(sys.argv[2]), read_mask(sys.argv[1]))\n"
+              "others = [t.name for t in threading.enumerate()\n"
+              "          if t is not threading.main_thread()]\n"
+              "print(code, len(others), all(n.startswith('lesionwise') for n in others))\n")
     src = str(Path(lesionwise.__file__).parents[1])
-    env = dict(os.environ, LESIONWISE_THREADS="1", PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "eval", "--manifest", str(tmp_path / "cases.csv"),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.stdout.splitlines()[-1] == "0 True []", proc.stderr
+    counts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, LESIONWISE_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "gt.raw"), str(tmp_path / "logits.raw"),
+             "eval", "--manifest", str(tmp_path / "cases.csv"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        code, n, named = proc.stdout.split()
+        assert (code, named) == ("0", "True"), proc.stderr
+        counts[threads] = int(n)
+    assert counts["1"] == 0
+    assert 1 <= counts["2"] <= 2
+
+
+def test_failed_eval_cases_keep_no_volumes(tmp_path, monkeypatch):
+    # Each case reads its GT, then fails on a missing prediction; what a
+    # failed case keeps for the report must not hold the GT it read.
+    write_volume(mk_mask(np.ones((64, 64, 64), dtype=bool)), tmp_path / "gt.raw")
+    monkeypatch.setenv("LESIONWISE_THREADS", "1")
+    peaks = []
+    for n in (1, 8):
+        _write_manifest(tmp_path / "cases.csv", [("gt.raw", f"missing{i}.raw") for i in range(n)])
+        tracemalloc.start()
+        try:
+            assert run_cli(["eval", "--manifest", str(tmp_path / "cases.csv"),
+                            "--out", str(tmp_path / "out")]) == EXIT_PARTIAL
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 64**3, peaks
 
 
 def test_eval_spacing_whose_voxel_volume_overflows_is_a_case_error(tmp_path, capsys):

@@ -5,7 +5,6 @@ import threading
 import tracemalloc
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from lesionwise import (
     cc_instance_terms,
     combined_loss,
     dicece_loss,
+    figure2_scenario,
     gradient_map,
     label_components,
     random_instances_spec,
@@ -34,7 +34,7 @@ from lesionwise import (
     voronoi_partition,
     voronoi_partition_bruteforce,
 )
-from lesionwise import losses
+from lesionwise import _pool, losses
 from lesionwise.components import ComponentLabeling
 from lesionwise.voronoi import VoronoiPartition
 from oracles import (
@@ -712,25 +712,25 @@ def test_bits_do_not_depend_on_the_slabs_or_the_worker_count(monkeypatch, worker
     cases = _slab_cases()
     want = _slab_digests(cases)  # each lattice is one slab, run inline
     calls = Counter()
-    _count_calls(monkeypatch, losses, "_run_all", calls)
-    with ThreadPoolExecutor(workers, thread_name_prefix="lesionwise-loss") as pool:
-        monkeypatch.setattr(losses, "_POOL", pool)
-        # one-row slabs, then (on 7x6x5) runs of 2-3 rows that leave a shorter last slab
-        for slab_voxels in (1, 100):
-            monkeypatch.setattr(losses, "SLAB_VOXELS", slab_voxels)
-            calls.clear()
-            assert _slab_digests(cases) == want, slab_voxels
-            assert calls["_run_all"] > 0, slab_voxels
+    _count_calls(monkeypatch, _pool, "_executor", calls)
+    monkeypatch.setenv("LESIONWISE_THREADS", str(workers))
+    # one-row slabs, then (on 7x6x5) runs of 2-3 rows that leave a shorter last slab
+    for slab_voxels in (1, 100):
+        monkeypatch.setattr(losses, "SLAB_VOXELS", slab_voxels)
+        calls.clear()
+        assert _slab_digests(cases) == want, slab_voxels
+        assert (calls["_executor"] > 0) == (workers > 1), slab_voxels
 
 
 def test_threads_sharing_the_loss_pool_match_a_fresh_thread(monkeypatch):
     # The same check with one-row slabs, so that the calling threads' slabs
     # queue on the one pool at once.
     monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
+    monkeypatch.setenv("LESIONWISE_THREADS", "2")
     calls = Counter()
-    _count_calls(monkeypatch, losses, "_run_all", calls)
+    _count_calls(monkeypatch, _pool, "_executor", calls)
     test_threads_computing_at_once_match_a_fresh_thread()
-    assert calls["_run_all"] > 0
+    assert calls["_executor"] > 0
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -740,6 +740,7 @@ def test_forked_child_computes_the_same_bits(monkeypatch):
     # The parent's pool has running workers when the child is forked; the
     # child has none of them and must not wait on their queue.
     monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
+    monkeypatch.setenv("LESIONWISE_THREADS", "2")
     case = _reuse_cases()[1]  # cc-dicece, weighted, C-order logits
     want = _run(case)
     ctx = multiprocessing.get_context("fork")
@@ -773,14 +774,15 @@ def test_threaded_call_raises_what_the_one_slab_call_raises(monkeypatch):
     def call():
         combined_loss("cc-dicece", logits, gt, big, lab=lab, part=part)
 
+    monkeypatch.setenv("LESIONWISE_THREADS", "2")
     outcomes = []
     for errstate, action in (("raise", "default"), ("ignore", "error")):
         with np.errstate(all=errstate), warnings.catch_warnings():
             warnings.simplefilter(action)
             want = _raised(call)
-            monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
-            got = _raised(call)
-            monkeypatch.undo()
+            with monkeypatch.context() as m:
+                m.setattr(losses, "SLAB_VOXELS", 1)
+                got = _raised(call)
         assert got == want, errstate
         outcomes.append(want)
     assert outcomes == [(FloatingPointError, "overflow encountered in multiply"),
@@ -919,8 +921,12 @@ def test_stateless_checks_accept_exactly_what_the_lattice_oracle_accepts(data):
 
     lab_ok = lab.labels.shape == shape and np.array_equal(lab.labels != 0, gt.voxels)
     fg = lab.labels != 0
+    # a partition that names its labeling passes only with an equal one;
+    # one built by hand, only if each component lies in its own region
     part_ok = part is not None and part.region_of.shape == lab.labels.shape \
-        and part.count == lab.count and np.array_equal(part.region_of[fg], lab.labels[fg])
+        and part.count == lab.count and (
+            np.array_equal(part.region_of[fg], lab.labels[fg]) if part.lab is None
+            else np.array_equal(part.lab.labels, lab.labels))
     want = "labeling" if not lab_ok else "empty" if lab.count == 0 else "ok"
     good_part = voronoi_partition(own) if own.count else None
 
@@ -953,6 +959,25 @@ def test_stateless_checks_accept_exactly_what_the_lattice_oracle_accepts(data):
                                                    part=voronoi_partition(lab2))))
             assert reused == fresh
             assert reused[0] == _digest(combined_loss(kind, logits, gt))
+
+
+def test_partition_of_a_shifted_labeling_rejected():
+    # Each component of the GT rolled by 3 voxels still lies in the region
+    # of its own number, so the O(GT) check alone passes it (0.71351).
+    f2 = figure2_scenario()
+    want = combined_loss("cc-dicece", f2.logits, f2.gt).scalar
+    assert want == pytest.approx(0.70740, abs=5e-6)
+    rolled = voronoi_partition(label_components(mk_mask(np.roll(f2.gt.voxels, 3, axis=0))))
+    with pytest.raises(ValueError, match="Voronoi partition does not match"):
+        combined_loss("cc-dicece", f2.logits, f2.gt, part=rolled)
+    by_hand = VoronoiPartition(rolled.region_of, rolled.count, rolled.metric)
+    assert combined_loss("cc-dicece", f2.logits, f2.gt, part=by_hand).scalar == \
+        pytest.approx(0.71351, abs=5e-6)
+    # a partition of an equal labeling that is another object passes
+    lab = label_components(f2.gt)
+    equal = voronoi_partition(label_components(mk_mask(f2.gt.voxels.copy())))
+    assert equal.lab is not lab
+    assert combined_loss("cc-dicece", f2.logits, f2.gt, lab=lab, part=equal).scalar == want
 
 
 def test_combined_loss_rejects_an_empty_labeling_of_a_nonempty_gt():

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .volumes import BinaryMask, Spacing
+from .volumes import BinaryMask, Spacing, require_masks
 
 # Full 3x3x3 structuring element: faces, edges and corners all connect.
 _STRUCTURE_26 = np.ones((3, 3, 3), dtype=bool)
@@ -107,8 +107,10 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
     """Label the 26-connected components of a mask.
 
     IDs follow first-encounter order of the canonical x-fastest scan
-    (equivalently: ascending minimal linear voxel index).
+    (equivalently: ascending minimal linear voxel index). A volume that is
+    not a bool mask raises ``TypeError``.
     """
+    require_masks(mask)
     labels = np.zeros(mask.voxels.shape, dtype=np.int32)
     count, fg = 0, np.zeros(0, dtype=np.int32)
     box = _foreground_box(mask.voxels)

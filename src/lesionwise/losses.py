@@ -53,14 +53,17 @@ gradient writes its slab through a slab-sized buffer.
 Values that depend on the ground truth alone are cached on its immutable
 objects rather than recounted per call: the coordinates and group of each
 GT voxel (``ComponentLabeling.foreground_coords`` and ``foreground_ids``),
-the component sizes (``volumes_vox``) and the Voronoi region sizes
+the component sizes (``volumes_vox``), the GT voxel count
+(``BinaryMask.foreground_count``) and the Voronoi region sizes
 (``VoronoiPartition.region_sizes``). The instance sums gather p at those
 coordinates. So ``lab`` must label exactly ``gt``'s voxels and ``part`` must
 be a partition of ``lab``, as ``label_components`` and ``voronoi_partition``
-make them; else ``ValueError``. Every instance-loss call checks both and
-remembers nothing, so a mismatch raises on every call. The labeling check
-is O(GT): a ``count_nonzero`` of the mask and gathers at the cached
-coordinates. The partition check is O(1) when ``part.lab`` is ``lab`` and
+make them; else ``ValueError``. A CC loss given no partition is a
+``ValueError`` too. Every instance-loss call checks and remembers nothing,
+so a mismatch raises on every call. The labeling check is O(GT): the GT
+voxel count, cached on the mask, against the labeled count, and gathers at
+the cached coordinates; the first call on a mask pays one lattice pass to
+count it. The partition check is O(1) when ``part.lab`` is ``lab`` and
 O(lattice) when it is an equal labeling. A partition built by hand
 (``lab=None``) is only checked, in O(GT), to put each component in its own
 region; one with other borders that passes gives other values, silently.
@@ -360,7 +363,11 @@ def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
 
 
 def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
-    """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels; O(GT voxels)."""
+    """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels.
+
+    O(GT voxels), once ``gt`` has counted its foreground: the first call on a
+    mask pays one lattice pass for ``foreground_count``, cached after that.
+    """
     if lab.labels.shape != gt.voxels.shape:
         raise ValueError("component labeling shape does not match the volume")
     coords = lab.foreground_coords
@@ -383,20 +390,24 @@ def _partitions(part: VoronoiPartition, lab: ComponentLabeling) -> bool:
     return part.lab is lab or np.array_equal(part.lab.labels, lab.labels)
 
 
-def _instance_terms(logits, gt, lab, part=None):
+def _instance_terms(logits, gt, lab, part=None, *, cc=False):
     """Check an instance loss's inputs, then take the pass and sum its terms.
 
-    With ``part`` the terms are CC's Voronoi regions, else blob's masked
-    lattices. Every call checks, with no memory of earlier calls, that
-    ``lab`` labels exactly ``gt``'s voxels (O(GT)) and that ``part`` is a
-    partition of ``lab`` (``_partitions``).
+    With ``cc`` the terms are CC's Voronoi regions, those of ``part``, else
+    blob's masked lattices. Every call checks, with no memory of earlier
+    calls, that ``lab`` labels exactly ``gt``'s voxels (O(GT)) and, for CC,
+    that ``part`` is given and is a partition of ``lab`` (``_partitions``).
+    The empty-GT refusal comes first, so ``combined_loss`` on an empty GT
+    needs no partition.
     """
     _check_labeling(lab, gt)
     if lab.count < 1:
         raise EmptyGroundTruthError(
             "instance loss needs at least one ground-truth component"
         )
-    if part is not None and not _partitions(part, lab):
+    if cc and part is None:
+        raise ValueError("CC instance loss needs a Voronoi partition of lab")
+    if cc and not _partitions(part, lab):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
     return vp, _reduce(vp, lab, part)
@@ -429,7 +440,7 @@ def cc_instance_loss(
 
     Leaves this thread's loss workspace resident (see the module docstring).
     """
-    return _mean_of_terms(logits, *_instance_terms(logits, gt, lab, part), w_dice, w_ce)
+    return _mean_of_terms(logits, *_instance_terms(logits, gt, lab, part, cc=True), w_dice, w_ce)
 
 
 def cc_instance_terms(
@@ -445,7 +456,7 @@ def cc_instance_terms(
     Each term carries its own dense gradient, so the result holds one float64
     lattice per lesion: memory is count x lattice, where the loss returns one.
     """
-    return _each_term(*_instance_terms(logits, gt, lab, part), w_dice, w_ce)
+    return _each_term(*_instance_terms(logits, gt, lab, part, cc=True), w_dice, w_ce)
 
 
 def blob_instance_loss(

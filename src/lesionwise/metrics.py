@@ -5,11 +5,13 @@ components) are reported as ``None`` and excluded from aggregation; the
 aggregate keeps a count of them.
 
 CC-Dice needs the Voronoi region of a GT component only at the predicted
-voxels, so evaluation looks the regions up at those voxels with the kernel of
-``voronoi.nearest_component`` and never builds the dense, lattice-wide
-partition. The lookup's cost grows with the predicted voxels outside the
-ground truth, and its memory with the predicted voxels plus the components'
-boundary voxels, and a few transient bool lattices.
+voxels, so ``cc_dice`` never builds the dense, lattice-wide partition of
+``voronoi_partition``: it hands the predicted voxels' indices to the private
+lookup kernel ``voronoi._nearest_at``, of which it is the one caller, after
+checking what the kernel does not (the metric, bool masks on one grid and a
+non-empty ground truth). The lookup's cost grows with the predicted voxels
+outside the ground truth, and its memory with the predicted voxels plus the
+components' boundary voxels, and a few transient bool lattices.
 
 Matching reports only its pairs: the unmatched GT and predicted IDs are the
 complement of the paired IDs, and the counts follow from the pair count.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import ComponentLabeling, label_components
-from .volumes import BinaryMask, require_same_grid
+from .volumes import BinaryMask, require_masks, require_same_grid
 from .voronoi import _check_metric, _nearest_at
 from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps this attribute
 
@@ -76,7 +78,11 @@ class AggregateStat:
 
 
 def hard_dice(pred: BinaryMask, gt: BinaryMask) -> float:
-    """Set Dice 2|P∩K| / (|P|+|K|); 1.0 when both masks are empty."""
+    """Set Dice 2|P∩K| / (|P|+|K|); 1.0 when both masks are empty.
+
+    A volume that is not a bool mask raises ``TypeError``.
+    """
+    require_masks(pred, gt)
     require_same_grid(pred, gt)
     inter = int(np.count_nonzero(pred.voxels & gt.voxels))
     denom = pred.foreground_count + gt.foreground_count
@@ -95,9 +101,11 @@ def cc_dice(
 
     ``lab`` may be passed to reuse the GT labeling. The prediction mask is
     scanned once, for the C-order indices of its voxels; the intersections
-    and R_C are both read at those indices only.
+    and R_C are both read at those indices only. A volume that is not a bool
+    mask raises ``TypeError``.
     """
     _check_metric(metric)
+    require_masks(pred, gt)
     require_same_grid(pred, gt)
     if lab is None:
         lab = label_components(gt)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -129,8 +130,9 @@ class BinaryMask:
     def shape(self) -> Shape:
         return Shape(*self.voxels.shape)
 
-    @property
+    @cached_property
     def foreground_count(self) -> int:
+        """Foreground voxels; the first read counts them in one lattice pass."""
         return int(np.count_nonzero(self.voxels))
 
 
@@ -171,6 +173,13 @@ def require_same_grid(a, b) -> None:
     sa, sb = a.spacing.as_tuple(), b.spacing.as_tuple()
     if not all(math.isclose(x, y, rel_tol=SPACING_RTOL) for x, y in zip(sa, sb)):
         raise ShapeMismatchError(f"volume spacings differ: {sa} vs {sb}")
+
+
+def require_masks(*volumes) -> None:
+    """Raise ``TypeError`` unless every volume holds a bool mask, as ``BinaryMask`` does."""
+    for v in volumes:
+        if v.voxels.dtype != bool:
+            raise TypeError(f"expected a bool mask, got {type(v).__name__}; binarize() logits first")
 
 
 def sigmoid_parts(

@@ -1,4 +1,4 @@
-"""Nearest-component Voronoi regions: a dense partition and a masked lookup.
+"""Nearest-component Voronoi regions: the dense partition and ``cc_dice``'s lookup.
 
 A voxel belongs to the region of the ground-truth component that minimizes
 the Euclidean distance to the component's voxel set. Two distance metrics
@@ -17,11 +17,12 @@ policy without any floating-point tie heuristics. ``voronoi_partition_bruteforce
 evaluates the defining minimization verbatim (min over every component
 voxel) and serves as the conformance oracle.
 
-``voronoi_partition`` assigns every lattice voxel and serves the loss set-up
-and the ``voronoi`` subcommand. ``nearest_component`` answers the same
-question only at the voxels of a mask, with the same tie policy; evaluation
-reads regions only at the predicted voxels, so it passes the prediction mask
-to the lookup and never builds the dense partition (see "Lookup" below).
+``voronoi_partition`` is the one public partition: it assigns every lattice
+voxel and serves the loss set-up and the ``voronoi`` subcommand. Evaluation
+reads regions only at the predicted voxels, so ``metrics.cc_dice`` calls the
+private kernel ``_nearest_at``, which answers the same question at given
+voxels with the same tie policy and never builds the dense partition (see
+"Lookup" below).
 
 Windows
 -------
@@ -61,9 +62,13 @@ whole lattice when a small component sits far from the others.
 
 Lookup
 ------
-``nearest_component`` maps each voxel of a bool mask to its lowest-ID
-nearest component without building the partition. It rests on one lemma:
-under either metric, no interior voxel of a component C (one whose
+``_nearest_at(lab, flat, metric)`` maps the voxels at C-order linear indices
+``flat`` to their lowest-ID nearest components, equal to
+``voronoi_partition(lab, metric).region_of.ravel()[flat]``, without building
+the partition. It is ``cc_dice``'s kernel, which hands it the indices of the
+predicted voxels, and it checks nothing: ``cc_dice`` has checked the metric
+and the grid and returned early on an empty ground truth. It rests on one
+lemma: under either metric, no interior voxel of a component C (one whose
 6-neighbours inside the lattice all lie in C) is strictly nearer to a voxel
 q outside C than every 6-boundary voxel of C. Proof: take a nearest voxel v
 of C. If v is interior, step one voxel from v toward q along an axis where
@@ -76,34 +81,35 @@ so the walk ends at a nearest voxel that is not interior: a boundary voxel.
 
 So every component at the least ``_site_sq_dist`` from q reaches it at a
 boundary voxel. The sites are one boundary mask of the whole labeling: the
-foreground voxels with an in-lattice 6-neighbour off the foreground. That
-is exactly each component's own 6-boundary, because two 26-connected
-components never touch, and each site's owner is its label. One
-``scipy.spatial.cKDTree`` over the sites answers the lookup. A query
-re-scores its k nearest sites with ``_site_sq_dist``, from k = 2, and k
-doubles while the k-th tree distance lies within the ``_PHYS_SLACK``
-relative slack of the first, as a site beyond could still tie; so the
-answer does not depend on the order of the sites. Voxel-metric tree
-distances are square roots of exact integers, so every tie is found (sites
-the slack adds only raise k); physical ones may be a few ulps off, and
-sites beyond the slack cannot tie after rounding. The lowest ID at the
+foreground voxels with an in-lattice 6-neighbour off the foreground. That is
+exactly each component's own 6-boundary, because two 26-connected components
+never touch, and each site's owner is its label. A ground-truth voxel maps
+to its own label; one ``scipy.spatial.cKDTree`` over the sites answers the
+rest. A query re-scores its k nearest sites with ``_site_sq_dist``, from
+k = 2, and k doubles while the k-th tree distance lies within the
+``_PHYS_SLACK`` relative slack of the first, as a site beyond could still
+tie; so the answer does not depend on the order of the sites. Voxel-metric
+tree distances are square roots of exact integers, so every tie is found
+(sites the slack adds only raise k); physical ones may be a few ulps off,
+and sites beyond the slack cannot tie after rounding. The lowest ID at the
 least distance wins, as in the partition; there is no margin and no
-fallback. The cost is one query per masked voxel outside the ground truth,
-plus one per doubling. Memory is O(masked voxels + boundary voxels) plus a
-few transient bool lattices: two in the boundary pass, and a C-order copy
-of a mask stored in another order. Measured with tracemalloc, ``cc_dice``
-peaked at 2.1-4.2 bytes per lattice voxel on the benchmark's seed-3 eval
-cases with two or more lesions.
+fallback. The cost is one query per given voxel outside the ground truth,
+plus one per doubling. Memory is O(given voxels + boundary voxels) plus two
+transient bool lattices in the boundary pass. Measured with tracemalloc,
+``cc_dice`` peaked at 2.1-4.2 bytes per lattice voxel on the benchmark's
+seed-3 eval cases with two or more lesions.
 
 Why two algorithms
 ------------------
 Each wins on the workload it serves. A loss needs every voxel's region: on
 the benchmark's ``train-loss`` pools (seeds 3 and 40; 96^3; 2 CPUs; best of
-3) ``nearest_component`` at every voxel took 1.1-2.4 s per subject with 3-13
-lesions and the windowed EDT 0.16-0.25 s, with identical regions, and
-without ``_windows`` (one full-lattice EDT per component) a 4-subject pool
-took 1.3-1.6 s against 0.44-0.65 s. Evaluation needs regions only at the
-predicted voxels, which the lookup reads without the dense partition.
+3) the lookup at every voxel took 1.1-2.4 s per subject with 3-13 lesions
+and the windowed EDT 0.16-0.25 s, with identical regions, and without
+``_windows`` (one full-lattice EDT per component) a 4-subject pool took
+1.3-1.6 s against 0.44-0.65 s. Evaluation needs regions only at the
+predicted voxels, which the lookup reads without the dense partition. The
+lookup has no public entry of its own: the tests compare it with
+``voronoi_partition_bruteforce`` at every voxel.
 """
 
 from __future__ import annotations
@@ -297,29 +303,13 @@ def _boundary_sites(lab: ComponentLabeling) -> np.ndarray:
     return np.stack(np.unravel_index(np.flatnonzero(fg), fg.shape), axis=1)
 
 
-def nearest_component(lab: ComponentLabeling, mask, metric: str = "voxel") -> np.ndarray:
-    """Lowest-ID nearest component (int32, 1..count) of each voxel of a bool mask.
-
-    Equals ``voronoi_partition(lab, metric).region_of[mask]``, in C order and
-    ties included, without building the partition: a ground-truth voxel maps
-    to its own label, every other masked voxel queries one k-d tree over the
-    boundary voxels of all components (see "Lookup" in the module docstring
-    for the lemma that makes this exact). A mask that is not bool or not of
-    the labeling's shape raises ``ValueError``.
-    """
-    _check_metric(metric)
-    mask = np.asarray(mask)
-    shape = lab.labels.shape
-    if mask.dtype != bool or mask.shape != shape:
-        raise ValueError(f"mask must be a bool array of shape {shape}, got {mask.dtype} "
-                         f"of shape {mask.shape}")
-    if lab.count < 1:
-        raise EmptyGroundTruthError("cannot look up Voronoi regions: no components")
-    return _nearest_at(lab, np.flatnonzero(mask), metric)  # C order, as lab.labels[mask]
-
-
 def _nearest_at(lab: ComponentLabeling, flat: np.ndarray, metric: str) -> np.ndarray:
-    """``nearest_component`` at the C-order linear indices ``flat``, unchecked."""
+    """Lowest-ID nearest component (int32, 1..count) at the C-order linear
+    indices ``flat``: ``voronoi_partition(lab, metric).region_of.ravel()[flat]``.
+
+    Unchecked: ``metric`` must be valid and ``lab`` must have a component.
+    See "Lookup" in the module docstring for the lemma that makes it exact.
+    """
     if lab.count == 1:
         return np.ones(flat.size, dtype=np.int32)
     region = lab.labels.ravel()[flat]

@@ -320,6 +320,21 @@ def test_combined_with_empty_gt_reduces_to_global_term():
         np.testing.assert_allclose(lv.grad, ref.grad, rtol=1e-12)
 
 
+def test_cc_instance_loss_without_a_partition_raises():
+    # Read as "blob", a missing partition gave the blob loss (0.562540 on figure 2).
+    f2 = figure2_scenario()
+    lab = label_components(f2.gt)
+    assert cc_instance_loss(f2.logits, f2.gt, lab, voronoi_partition(lab)).scalar == \
+        pytest.approx(0.564331, abs=5e-7)
+    for call in (cc_instance_loss, cc_instance_terms):
+        with pytest.raises(ValueError, match="needs a Voronoi partition"):
+            call(f2.logits, f2.gt, lab, None)
+    # an empty GT is refused as empty first: combined_loss then keeps the global term
+    empty = mk_mask(np.zeros(f2.gt.voxels.shape), f2.gt.spacing)
+    with pytest.raises(EmptyGroundTruthError):
+        cc_instance_loss(f2.logits, empty, label_components(empty), None)
+
+
 def test_loss_values_stay_in_documented_bounds():
     for seed in range(5):
         gt, lab, logits = _random_case(40 + seed, n_components=2)

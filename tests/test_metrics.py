@@ -7,10 +7,12 @@ from lesionwise import (
     CaseMetrics,
     Shape,
     aggregate,
+    binarize,
     build_phantom,
     case_metrics,
     cc_dice,
     figure1_scenario,
+    figure2_scenario,
     hard_dice,
     label_components,
     match_instances,
@@ -359,3 +361,18 @@ def test_metrics_invariant_under_axis_flip():
             assert vb is None
         else:
             assert va == pytest.approx(vb)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f2: label_components(f2.logits),
+    lambda f2: hard_dice(f2.logits, f2.gt),
+    lambda f2: hard_dice(f2.gt, f2.logits),
+    lambda f2: cc_dice(f2.logits, f2.gt),
+    lambda f2: cc_dice(binarize(f2.logits), f2.logits),
+    lambda f2: case_metrics(f2.logits, f2.gt),
+], ids=["label", "hard-dice-pred", "hard-dice-gt", "cc-dice-pred", "cc-dice-gt", "case"])
+def test_logits_are_refused_where_a_mask_is_required(call):
+    # Every nonzero logit once counted as foreground: cc_dice read 0.0554 for 0.48.
+    f2 = figure2_scenario()
+    with pytest.raises(TypeError, match=r"bool mask, got LogitVolume; binarize"):
+        call(f2)

@@ -74,6 +74,17 @@ def test_lattice_just_below_the_physical_size_bound_is_accepted():
     assert LogitVolume(np.zeros((1, 1, 10)), Spacing(1.0, 1.0, 1.1e14)).shape.nz == 10
 
 
+def test_foreground_count_is_counted_once(monkeypatch):
+    mask = mk_mask(np.arange(24).reshape(2, 3, 4) % 5 == 0)
+    assert mask.foreground_count == 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("foreground counted again")
+
+    monkeypatch.setattr(np, "count_nonzero", refuse)
+    assert mask.foreground_count == 5
+
+
 def test_logit_volume_rejects_non_finite():
     arr = np.zeros((2, 2, 2))
     arr[0, 0, 0] = np.inf

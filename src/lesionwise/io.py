@@ -55,7 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volumes import BinaryMask, LogitVolume, Spacing
+from .volumes import BinaryMask, LogitVolume, Spacing, _adopt
 
 RAW_DTYPES = {"u8": np.dtype("<u1"), "f32": np.dtype("<f4")}
 
@@ -154,11 +154,13 @@ def _read(path: Path, as_mask: bool):
 
 
 def _finish(arr: np.ndarray, spacing: Spacing, as_mask: bool, path: Path):
+    """The volume of ``arr``, an array the reader has just made; a native
+    float32 one becomes the ``LogitVolume``'s voxels without a copy."""
     if arr.dtype.kind == "f" and not as_mask:
-        return LogitVolume(arr, spacing)  # rejects NaN/Inf
+        return _adopt(LogitVolume, arr, spacing)  # rejects NaN/Inf
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise VolumeFormatError(f"{path}: float volume contains NaN or Inf values")
-    return BinaryMask(arr, spacing)  # its bool cast makes any nonzero value foreground
+    return _adopt(BinaryMask, arr, spacing)  # its bool cast makes any nonzero value foreground
 
 
 # ---------------------------------------------------------------------------

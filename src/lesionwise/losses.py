@@ -84,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _pool
-from .components import ComponentLabeling, label_components
+from .components import ComponentLabeling, _check_labeling, label_components
 from .volumes import BinaryMask, LogitVolume, require_same_grid, sigmoid_parts
 from .voronoi import EmptyGroundTruthError, VoronoiPartition, _check_metric, voronoi_partition
 
@@ -360,23 +360,6 @@ def dicece_loss(
 def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
     """Non-smooth soft Dice loss over the whole lattice."""
     return dicece_loss(logits, gt, w_dice=1.0, w_ce=0.0)
-
-
-def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
-    """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels.
-
-    O(GT voxels), once ``gt`` has counted its foreground: the first call on a
-    mask pays one lattice pass for ``foreground_count``, cached after that.
-    """
-    if lab.labels.shape != gt.voxels.shape:
-        raise ValueError("component labeling shape does not match the volume")
-    coords = lab.foreground_coords
-    # as many GT voxels as labeled ones, and each labeled voxel in the GT
-    if gt.foreground_count != coords[0].size or not gt.voxels[coords].all():
-        raise ValueError(
-            "component labeling covers other voxels than the ground truth; "
-            "label this ground truth"
-        )
 
 
 def _partitions(part: VoronoiPartition, lab: ComponentLabeling) -> bool:

@@ -6,12 +6,16 @@ aggregate keeps a count of them.
 
 CC-Dice needs the Voronoi region of a GT component only at the predicted
 voxels, so ``cc_dice`` never builds the dense, lattice-wide partition of
-``voronoi_partition``: it hands the predicted voxels' indices to the private
-lookup kernel ``voronoi._nearest_at``, of which it is the one caller, after
-checking what the kernel does not (the metric, bool masks on one grid and a
-non-empty ground truth). The lookup's cost grows with the predicted voxels
-outside the ground truth, and its memory with the predicted voxels plus the
-components' boundary voxels, and a few transient bool lattices.
+``voronoi_partition``: its kernel ``_cc_dice`` hands the predicted voxels'
+indices to the private lookup kernel ``voronoi._nearest_at``, of which it is
+the one caller, after ``cc_dice`` has checked what the kernels do not (the
+metric, bool masks on one grid, and a given GT labeling against the GT, in
+O(GT)); ``_cc_dice`` returns None on an empty ground truth. ``case_metrics``
+calls ``_cc_dice`` directly with the GT labeling it has just built, so
+evaluation pays no labeling check. The lookup's cost grows with the
+predicted voxels outside the ground truth, and its memory with the predicted
+voxels plus the components' boundary voxels, and a few transient bool
+lattices.
 
 Matching reports only its pairs: the unmatched GT and predicted IDs are the
 complement of the paired IDs, and the counts follow from the pair count.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import ComponentLabeling, label_components
+from .components import ComponentLabeling, _check_labeling, label_components
 from .volumes import BinaryMask, require_masks, require_same_grid
 from .voronoi import _check_metric, _nearest_at
 from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps this attribute
@@ -99,19 +103,28 @@ def cc_dice(
 ) -> float | None:
     """Mean over GT components C of Dice(P ∩ R_C, C); None for empty GT.
 
-    ``lab`` may be passed to reuse the GT labeling. The prediction mask is
-    scanned once, for the C-order indices of its voxels; the intersections
-    and R_C are both read at those indices only. A volume that is not a bool
-    mask raises ``TypeError``.
+    ``lab`` may be passed to reuse the GT labeling; a labeling of other
+    voxels than ``gt``'s raises ``ValueError`` (an O(GT) check, see
+    ``components._check_labeling``). The prediction mask is scanned once,
+    for the C-order indices of its voxels; the intersections and R_C are
+    both read at those indices only. A volume that is not a bool mask raises
+    ``TypeError``.
     """
     _check_metric(metric)
     require_masks(pred, gt)
     require_same_grid(pred, gt)
     if lab is None:
         lab = label_components(gt)
+    else:
+        _check_labeling(lab, gt)
+    return _cc_dice(pred, lab, metric)
+
+
+def _cc_dice(pred: BinaryMask, lab: ComponentLabeling, metric: str) -> float | None:
+    """``cc_dice`` of ``pred`` against the mask ``lab`` labels, unchecked:
+    ``case_metrics`` hands it the GT labeling it has just built."""
     if lab.count == 0:
         return None
-
     n = lab.count
     flat = np.flatnonzero(pred.voxels)
     inter = np.bincount(lab.labels.ravel()[flat], minlength=n + 1)[1:]
@@ -237,7 +250,7 @@ def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> Cas
 
     return CaseMetrics(
         dice=hard_dice(pred, gt),
-        cc_dice=cc_dice(pred, gt, metric, lab=gt_lab),
+        cc_dice=_cc_dice(pred, gt_lab, metric),
         precision=precision,
         recall=recall,
         f1=f1,

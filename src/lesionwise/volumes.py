@@ -11,6 +11,9 @@ and stores any other as float64. ``binarize(logits, t)`` keeps
 ``sigmoid(l) >= t`` in one call, so probabilities are never stored as a volume.
 Both types refuse a lattice whose physical volume or squared diagonal is not
 below ``MAX_PHYSICAL_SIZE``, so volumes and distances taken on it stay finite.
+Their constructors copy the caller's array; ``binarize`` and ``io`` build
+theirs through ``_adopt``, which runs the same checks and keeps an array the
+package has just made when it already has the stored dtype.
 
 ``binarize`` decides most voxels by comparing logits with two bounds
 ``lo < logit(t) < hi`` in the logits' own dtype, and calls ``sigmoid`` only
@@ -93,7 +96,9 @@ class Spacing:
         return (float(self.sx), float(self.sy), float(self.sz))
 
 
-def _freeze(voxels: np.ndarray, spacing: Spacing, dtype) -> np.ndarray:
+def _freeze(voxels: np.ndarray, spacing: Spacing, dtype, copy: bool | None = True) -> np.ndarray:
+    """``voxels`` as a read-only ``dtype`` array after the grid checks: a copy,
+    or with ``copy=None`` the array itself when it already has ``dtype``."""
     if voxels.ndim != 3:
         raise ValueError(f"expected a 3D voxel grid, got ndim={voxels.ndim}")
     for axis, n in zip("xyz", voxels.shape):
@@ -107,9 +112,23 @@ def _freeze(voxels: np.ndarray, spacing: Spacing, dtype) -> np.ndarray:
                          f"usable physical size: volume {volume:.3g} mm^3 and squared "
                          f"diagonal {diagonal_sq:.3g} mm^2 must stay below "
                          f"{MAX_PHYSICAL_SIZE:.0e}")
-    out = np.array(voxels, dtype=dtype)
+    out = np.array(voxels, dtype=dtype, copy=copy)
     out.setflags(write=False)
     return out
+
+
+def _adopt(cls, voxels: np.ndarray, spacing: Spacing):
+    """``cls(voxels, spacing)`` for an array the package has just made and
+    holds no other reference to. The volume keeps it, made read-only, when
+    its dtype is already the one ``cls`` stores, and copies it otherwise.
+    Every check of the constructor runs; the public constructors always copy,
+    so a caller's array never aliases a volume.
+    """
+    vol = object.__new__(cls)
+    object.__setattr__(vol, "voxels", voxels)
+    object.__setattr__(vol, "spacing", spacing)
+    vol.__post_init__(copy=None)
+    return vol
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +142,8 @@ class BinaryMask:
     voxels: np.ndarray
     spacing: Spacing
 
-    def __post_init__(self):
-        object.__setattr__(self, "voxels", _freeze(self.voxels, self.spacing, bool))
+    def __post_init__(self, copy: bool | None = True):
+        object.__setattr__(self, "voxels", _freeze(self.voxels, self.spacing, bool, copy))
 
     @property
     def shape(self) -> Shape:
@@ -147,10 +166,10 @@ class LogitVolume:
     voxels: np.ndarray
     spacing: Spacing
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool | None = True):
         dtype = np.asarray(self.voxels).dtype
         single = dtype.kind == "f" and dtype.itemsize == 4
-        arr = _freeze(self.voxels, self.spacing, np.float32 if single else np.float64)
+        arr = _freeze(self.voxels, self.spacing, np.float32 if single else np.float64, copy)
         if not np.isfinite(arr).all():
             raise ValueError("logit volume contains NaN or Inf")
         object.__setattr__(self, "voxels", arr)
@@ -292,4 +311,4 @@ def binarize(logits: LogitVolume, threshold: float = 0.5) -> BinaryMask:
     band = np.flatnonzero((flat >= lo) != fg_flat)  # lo <= l <= hi, as lo <= hi
     if band.size:
         fg_flat[band] = sigmoid(flat[band]) >= threshold
-    return BinaryMask(fg, logits.spacing)
+    return _adopt(BinaryMask, fg, logits.spacing)

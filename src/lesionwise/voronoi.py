@@ -19,10 +19,16 @@ voxel) and serves as the conformance oracle.
 
 ``voronoi_partition`` is the one public partition: it assigns every lattice
 voxel and serves the loss set-up and the ``voronoi`` subcommand. Evaluation
-reads regions only at the predicted voxels, so ``metrics.cc_dice`` calls the
-private kernel ``_nearest_at``, which answers the same question at given
-voxels with the same tie policy and never builds the dense partition (see
-"Lookup" below).
+reads regions only at the predicted voxels, so ``metrics._cc_dice``
+(``cc_dice``'s kernel) calls the private lookup ``_nearest_at``, which
+answers the same question at given voxels with the same tie policy and
+never builds the dense partition (see "Lookup" below).
+
+Importing this module loads no part of scipy. ``scipy.ndimage`` is
+imported inside its two users here, ``_windows`` (``find_objects``) and
+``voronoi_partition`` (``distance_transform_edt``), and ``scipy.spatial``
+inside ``_nearest_at``: each import costs a few hundred ms the first time
+in a process and is a ``sys.modules`` lookup after that.
 
 Windows
 -------
@@ -65,9 +71,10 @@ Lookup
 ``_nearest_at(lab, flat, metric)`` maps the voxels at C-order linear indices
 ``flat`` to their lowest-ID nearest components, equal to
 ``voronoi_partition(lab, metric).region_of.ravel()[flat]``, without building
-the partition. It is ``cc_dice``'s kernel, which hands it the indices of the
-predicted voxels, and it checks nothing: ``cc_dice`` has checked the metric
-and the grid and returned early on an empty ground truth. It rests on one
+the partition. It is ``cc_dice``'s lookup: ``metrics._cc_dice`` hands it the
+indices of the predicted voxels, and it checks nothing: ``cc_dice`` or
+``case_metrics`` has checked the metric and the grid, and ``_cc_dice`` has
+returned early on an empty ground truth. It rests on one
 lemma: under either metric, no interior voxel of a component C (one whose
 6-neighbours inside the lattice all lie in C) is strictly nearer to a voxel
 q outside C than every 6-boundary voxel of C. Proof: take a nearest voxel v
@@ -118,7 +125,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .components import ComponentLabeling
 
@@ -206,6 +212,8 @@ def _windows(lab: ComponentLabeling, metric: str) -> list[tuple[slice, slice, sl
     component to the farthest voxel of b. The window of c is the bounding box
     of the blocks with ``LB_c(b) <= UB(b)``.
     """
+    from scipy import ndimage  # lazy: see the module docstring
+
     shape = lab.labels.shape
     lo = [np.arange(0, n, _BLOCK) for n in shape]
     hi = [np.minimum(b + _BLOCK - 1, n - 1) for b, n in zip(lo, shape)]
@@ -243,6 +251,8 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
     proof); ascending-ID strict comparison against the running best
     implements the lowest-ID tie policy. A single component needs no EDT.
     """
+    from scipy import ndimage  # lazy: see the module docstring
+
     _check_metric(metric)
     if lab.count < 1:
         raise EmptyGroundTruthError("cannot build a Voronoi partition: no components")

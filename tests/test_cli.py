@@ -12,9 +12,12 @@ import pytest
 import lesionwise
 from lesionwise import (
     LogitVolume,
+    Shape,
     Spacing,
+    build_phantom,
     figure1_scenario,
     figure2_scenario,
+    random_instances_spec,
     read_volume,
     write_volume,
 )
@@ -185,8 +188,23 @@ def test_eval_reports_are_thread_count_invariant(tmp_path, monkeypatch, figure1_
     assert outputs[0] == outputs[1]
 
 
-# sha256 of (report.json, cases.csv) for the manifest of
-# test_eval_report_bytes_are_pinned, per --distance
+def _write_pinned_cases(d):
+    """The volumes and the ``cases.csv`` manifest whose reports are pinned."""
+    f1, f2 = figure1_scenario(), figure2_scenario()
+    write_volume(f1.gt, d / "gt1.raw")
+    write_volume(f1.pred_partial, d / "partial1.raw")
+    write_volume(f2.gt, d / "gt2.raw")
+    write_volume(f2.logits, d / "logits2.raw")
+    _write_manifest(d / "cases.csv", [
+        ("gt1.raw", "partial1.raw"),
+        ("gt2.raw", "logits2.raw"),
+        ("gt2.raw", "gt2.raw"),
+        ("gt1.raw", "missing.raw"),
+    ])
+
+
+# sha256 of (report.json, cases.csv) for the manifest of _write_pinned_cases,
+# per --distance
 REPORT_DIGESTS = {
     "voxel": ("9e0c009be1ad164c94eca00da1487ccd00c7c21a3ab6226a7024253d1b49ab15",
               "ddd1044f469d2a71e73c7a539508610724ec36b764fc406fa245b3d4f05a26da"),
@@ -198,17 +216,7 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("distance", ["voxel", "physical"])
 def test_eval_report_bytes_are_pinned(tmp_path, monkeypatch, distance, threads):
-    f1, f2 = figure1_scenario(), figure2_scenario()
-    write_volume(f1.gt, tmp_path / "gt1.raw")
-    write_volume(f1.pred_partial, tmp_path / "partial1.raw")
-    write_volume(f2.gt, tmp_path / "gt2.raw")
-    write_volume(f2.logits, tmp_path / "logits2.raw")
-    _write_manifest(tmp_path / "cases.csv", [
-        ("gt1.raw", "partial1.raw"),
-        ("gt2.raw", "logits2.raw"),
-        ("gt2.raw", "gt2.raw"),
-        ("gt1.raw", "missing.raw"),
-    ])
+    _write_pinned_cases(tmp_path)
     monkeypatch.chdir(tmp_path)  # relative paths, so the echoed config is stable
     monkeypatch.setenv("LESIONWISE_THREADS", threads)
     assert run_cli(["eval", "--manifest", "cases.csv", "--out", "out",
@@ -216,6 +224,54 @@ def test_eval_report_bytes_are_pinned(tmp_path, monkeypatch, distance, threads):
     digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                     for name in ("report.json", "cases.csv"))
     assert digests == REPORT_DIGESTS[distance]
+
+
+# A fresh interpreter that has not imported scipy.ndimage, running the CLI.
+_COLD_CLI = ("import sys\n"
+             "from lesionwise import cli\n"
+             "assert 'scipy.ndimage' not in sys.modules\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def _run_cold(cwd, argv, threads="1"):
+    src = str(Path(lesionwise.__file__).parents[1])
+    env = dict(os.environ, LESIONWISE_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", _COLD_CLI, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cold_eval_on_two_workers_writes_the_pinned_bytes(tmp_path):
+    # Both workers label their first case at once, so they import scipy.ndimage
+    # concurrently; the reports must equal a 1-worker run's and the pinned ones.
+    _write_pinned_cases(tmp_path)
+    reports = {}
+    for threads in ("2", "1"):
+        proc = _run_cold(tmp_path, ["eval", "--manifest", "cases.csv", "--out", "out",
+                                    "--distance", "physical"], threads)
+        assert proc.returncode == EXIT_PARTIAL, proc.stderr
+        reports[threads] = tuple(
+            hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("report.json", "cases.csv"))
+    assert reports["2"] == reports["1"] == REPORT_DIGESTS["physical"]
+
+
+# sha256 of the `voronoi --out` file of test_cold_voronoi_writes_the_pinned_bytes
+VORONOI_DIGESTS = {
+    "voxel": "5637b2490f9af390fc9f124c325318ce9727869f19c21050d497324360fa23f1",
+    "physical": "fa976168679e10d1ca7de81b0bc659636229c98ad1e94214a89fa374a9a4e5f5",
+}
+
+
+@pytest.mark.parametrize("distance", ["voxel", "physical"])
+def test_cold_voronoi_writes_the_pinned_bytes(tmp_path, distance):
+    spec = random_instances_spec(Shape(24, 20, 16), Spacing(0.8, 1.0, 2.0), 6, seed=7)
+    write_volume(build_phantom(spec)[0], tmp_path / "gt.nii.gz")
+    proc = _run_cold(tmp_path, ["voronoi", "--gt", "gt.nii.gz", "--out", "r.raw",
+                                "--distance", distance])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256((tmp_path / "r.raw").read_bytes()).hexdigest() \
+        == VORONOI_DIGESTS[distance]
 
 
 def test_loss_command_reproduces_figure1_value(figure1_files, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-import lesionwise.components
 from lesionwise import Spacing, label_components
 from oracles import flood_fill_label, mk_mask
 
@@ -61,7 +61,7 @@ def test_labeling_matches_flood_fill_oracle(shape, density, seed, order, faces):
 
 @pytest.mark.parametrize("perm", [[0, 3, 2, 1], [0, 1, 3, 2]], ids=["reversed", "first-kept"])
 def test_permuted_scipy_numbering_is_rejected(monkeypatch, perm):
-    real = lesionwise.components.ndimage.label
+    real = ndimage.label  # label_components looks it up on each call
 
     def swapped(crop, structure, output):
         count = real(crop, structure=structure, output=output)
@@ -70,7 +70,7 @@ def test_permuted_scipy_numbering_is_rejected(monkeypatch, perm):
 
     arr = np.zeros((5, 1, 1), dtype=bool)
     arr[0] = arr[2] = arr[4] = True
-    monkeypatch.setattr(lesionwise.components.ndimage, "label", swapped)
+    monkeypatch.setattr(ndimage, "label", swapped)
     with pytest.raises(RuntimeError, match="scan order"):
         label_components(mk_mask(arr))
 

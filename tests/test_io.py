@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lesionwise.io
 from lesionwise import (
     BinaryMask,
     LogitVolume,
@@ -427,6 +428,30 @@ def test_float32_volume_is_kept_as_read_only_float32(tmp_path, name):
     assert vol.voxels.dtype == np.float32
     assert not vol.voxels.flags.writeable
     assert np.array_equal(vol.voxels, arr)
+
+
+def test_gzipped_float32_read_allocates_one_float32_lattice(tmp_path, monkeypatch):
+    # The inflated voxels become the volume's: no second f32 lattice is made.
+    arr = np.zeros((64, 64, 64), dtype=np.float32)
+    arr[10:20, 30:40, 5:60] = 2.5
+    path = tmp_path / "f.nii.gz"
+    write_volume(LogitVolume(arr, Spacing(1, 1, 1)), path)
+    finish = lesionwise.io._finish
+
+    def traced_finish(*args):
+        tracemalloc.reset_peak()  # measure from the inflated bytes on, not the inflate itself
+        return finish(*args)
+
+    monkeypatch.setattr(lesionwise.io, "_finish", traced_finish)
+    tracemalloc.start()
+    try:
+        vol = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vol.voxels, arr)
+    # the inflated lattice and the finiteness check's bool lattice; a copy adds a lattice
+    assert peak < 1.5 * arr.nbytes
 
 
 def test_big_endian_float32_nifti_is_kept_as_native_float32(tmp_path):

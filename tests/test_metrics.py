@@ -376,3 +376,14 @@ def test_logits_are_refused_where_a_mask_is_required(call):
     f2 = figure2_scenario()
     with pytest.raises(TypeError, match=r"bool mask, got LogitVolume; binarize"):
         call(f2)
+
+
+def test_cc_dice_refuses_a_labeling_of_other_voxels():
+    # A labeling of the GT rolled by 3 voxels once gave 0.3 without error.
+    f2 = figure2_scenario()
+    pred = binarize(f2.logits)
+    rolled = label_components(mk_mask(np.roll(f2.gt.voxels, 3, axis=0)))
+    with pytest.raises(ValueError, match="other voxels than the ground truth"):
+        cc_dice(pred, f2.gt, lab=rolled)
+    assert cc_dice(pred, f2.gt, lab=label_components(f2.gt)) == pytest.approx(0.48)
+    assert cc_dice(pred, f2.gt) == pytest.approx(0.48)

@@ -46,6 +46,18 @@ def test_volumes_are_immutable():
         l.voxels[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("cls, dtype", [
+    (BinaryMask, bool), (LogitVolume, np.float32), (LogitVolume, np.float64),
+], ids=["mask", "f32-logits", "f64-logits"])
+def test_constructors_copy_the_callers_array(cls, dtype):
+    # The arrays already have the stored dtype, so only the copy keeps them apart.
+    arr = np.zeros((3, 4, 5), dtype=dtype)
+    vol = cls(arr, Spacing(1, 1, 1))
+    arr[1, 2, 3] = 1
+    assert arr.flags.writeable
+    assert not vol.voxels.any()
+
+
 @pytest.mark.parametrize("shape, message", [
     ((0, 3, 3), "no voxels along x"), ((3, 0, 3), "no voxels along y"),
     ((3, 3, 0), "no voxels along z"), ((3, 3), "expected a 3D voxel grid, got ndim=2"),

@@ -22,14 +22,22 @@ import ``scipy.ndimage`` and about 0.2 s to import ``lesionwise`` (medians
 of 7, 2 CPUs); the first labeling in a process pays the former once, and
 each later call finds the module in ``sys.modules``.
 
+``ComponentLabeling.mask`` is the mask object ``label_components``
+labeled (``None`` for a labeling built by hand), so the labeling keeps its
+mask alive. It makes ``_check_labeling(lab, gt)``, the one labeling check
+of the losses and ``metrics.cc_dice``, O(1) when ``lab.mask is gt``; any
+other labeling, including one of an equal but distinct mask, is checked in
+O(GT). Either way the labeling must be on ``gt``'s grid: the same shape, and
+the same spacing within ``SPACING_RTOL``.
+
 ``ComponentLabeling.voxel_lists`` (per-component voxel coordinates),
 ``foreground_coords`` (the coordinates of every foreground voxel, in C
 order) and ``foreground_ids`` (their component IDs) are built lazily on
-first access and cached; they are pure functions of the labels, and the
-labeling remembers nothing else. Only the brute-force reference partition
-and tests read the lists; the instance losses read the coordinates and IDs,
-once per labeling rather than once per call. The labeling itself builds
-none of them, and evaluation never reads them.
+first access and cached; they are pure functions of the labels. Only the
+brute-force reference partition and tests read the lists; the instance
+losses read the coordinates and IDs, once per labeling rather than once per
+call. The labeling itself builds none of them, and evaluation never reads
+them.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ class ComponentLabeling:
     volumes_vox: np.ndarray
     volumes_mm3: np.ndarray
     spacing: Spacing
+    mask: BinaryMask | None = None  # the mask labeled, trusted by _check_labeling
 
     def __post_init__(self):
         self.labels.setflags(write=False)
@@ -140,18 +149,24 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
         volumes_vox=volumes_vox,
         volumes_mm3=volumes_vox * mask.spacing.voxel_volume,
         spacing=mask.spacing,
+        mask=mask,
     )
 
 
 def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
-    """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels.
+    """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels on
+    ``gt``'s grid.
 
-    O(GT voxels), once ``gt`` has counted its foreground: the first call on a
-    mask pays one lattice pass for ``foreground_count``, cached after that.
-    The losses and ``metrics.cc_dice`` share it.
+    O(1) when ``lab.mask is gt``: ``label_components(gt)`` made it. Any other
+    labeling, built by hand or made from an equal but distinct mask, is
+    checked in O(GT voxels) once ``gt`` has counted its foreground (one
+    lattice pass, cached on the mask). The losses and ``metrics.cc_dice``
+    share it.
     """
-    if lab.labels.shape != gt.voxels.shape:
-        raise ValueError("component labeling shape does not match the volume")
+    if lab.mask is gt:
+        return
+    if lab.labels.shape != gt.voxels.shape or not lab.spacing.isclose(gt.spacing):
+        raise ValueError("component labeling shape or spacing does not match the volume")
     coords = lab.foreground_coords
     # as many GT voxels as labeled ones, and each labeled voxel in the GT
     if gt.foreground_count != coords[0].size or not gt.voxels[coords].all():

@@ -56,17 +56,20 @@ GT voxel (``ComponentLabeling.foreground_coords`` and ``foreground_ids``),
 the component sizes (``volumes_vox``), the GT voxel count
 (``BinaryMask.foreground_count``) and the Voronoi region sizes
 (``VoronoiPartition.region_sizes``). The instance sums gather p at those
-coordinates. So ``lab`` must label exactly ``gt``'s voxels and ``part`` must
-be a partition of ``lab``, as ``label_components`` and ``voronoi_partition``
-make them; else ``ValueError``. A CC loss given no partition is a
-``ValueError`` too. Every instance-loss call checks and remembers nothing,
-so a mismatch raises on every call. The labeling check is O(GT): the GT
-voxel count, cached on the mask, against the labeled count, and gathers at
-the cached coordinates; the first call on a mask pays one lattice pass to
+coordinates. So ``lab`` must label exactly ``gt``'s voxels on ``gt``'s grid
+and ``part`` must be a partition of ``lab``, as ``label_components`` and
+``voronoi_partition`` make them; else ``ValueError``. A CC loss given no
+partition is a ``ValueError`` too. Every instance-loss call checks and
+remembers nothing, so a mismatch raises on every call. The labeling check
+(``components._check_labeling``) is O(1) for a labeling made from this mask
+object by ``label_components`` and O(GT) for any other: the GT voxel
+count, cached on the mask, against the labeled count, and gathers at the
+cached coordinates; the first such call on a mask pays one lattice pass to
 count it. The partition check is O(1) when ``part.lab`` is ``lab`` and
-O(lattice) when it is an equal labeling. A partition built by hand
-(``lab=None``) is only checked, in O(GT), to put each component in its own
-region; one with other borders that passes gives other values, silently.
+O(lattice) when it is an equal labeling at the same spacing. A partition
+built by hand (``lab=None``) is only checked, in O(GT), to put each
+component in its own region; one with other borders that passes gives
+other values, silently.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -364,13 +367,15 @@ def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
 
 def _partitions(part: VoronoiPartition, lab: ComponentLabeling) -> bool:
     """Whether ``part`` may be ``lab``'s partition: one made from ``lab``
-    (O(1)) or from an equal labeling (O(lattice)), or, if it names no
-    labeling, one that puts each component in its own region (O(GT))."""
+    (O(1)) or from an equal labeling at the same spacing (O(lattice)), or,
+    if it names no labeling, one that puts each component in its own region
+    (O(GT))."""
     if part.region_of.shape != lab.labels.shape or part.count != lab.count:
         return False
     if part.lab is None:
         return np.array_equal(part.region_of[lab.foreground_coords], lab.foreground_ids)
-    return part.lab is lab or np.array_equal(part.lab.labels, lab.labels)
+    return part.lab is lab or (part.lab.spacing.isclose(lab.spacing)
+                               and np.array_equal(part.lab.labels, lab.labels))
 
 
 def _instance_terms(logits, gt, lab, part=None, *, cc=False):
@@ -378,8 +383,9 @@ def _instance_terms(logits, gt, lab, part=None, *, cc=False):
 
     With ``cc`` the terms are CC's Voronoi regions, those of ``part``, else
     blob's masked lattices. Every call checks, with no memory of earlier
-    calls, that ``lab`` labels exactly ``gt``'s voxels (O(GT)) and, for CC,
-    that ``part`` is given and is a partition of ``lab`` (``_partitions``).
+    calls, that ``lab`` labels exactly ``gt``'s voxels
+    (``_check_labeling``) and, for CC, that ``part`` is given and is a
+    partition of ``lab`` (``_partitions``).
     The empty-GT refusal comes first, so ``combined_loss`` on an empty GT
     needs no partition.
     """

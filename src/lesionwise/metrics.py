@@ -6,16 +6,17 @@ aggregate keeps a count of them.
 
 CC-Dice needs the Voronoi region of a GT component only at the predicted
 voxels, so ``cc_dice`` never builds the dense, lattice-wide partition of
-``voronoi_partition``: its kernel ``_cc_dice`` hands the predicted voxels'
-indices to the private lookup kernel ``voronoi._nearest_at``, of which it is
-the one caller, after ``cc_dice`` has checked what the kernels do not (the
-metric, bool masks on one grid, and a given GT labeling against the GT, in
-O(GT)); ``_cc_dice`` returns None on an empty ground truth. ``case_metrics``
-calls ``_cc_dice`` directly with the GT labeling it has just built, so
-evaluation pays no labeling check. The lookup's cost grows with the
-predicted voxels outside the ground truth, and its memory with the predicted
-voxels plus the components' boundary voxels, and a few transient bool
-lattices.
+``voronoi_partition``: it hands the predicted voxels' indices to the private
+lookup kernel ``voronoi._nearest_at``, of which it is the one caller, after
+it has checked what the kernel does not: the metric, bool masks on one
+grid, and a given GT labeling against the GT. That labeling check is O(1)
+for a labeling made from this mask object by ``label_components`` and
+O(GT) for any other, and it requires the GT's grid (shape and spacing).
+``case_metrics`` passes ``cc_dice`` the GT labeling it has just built, so
+evaluation takes the O(1) branch. The lookup's cost grows with the
+predicted voxels outside the ground truth, and its memory with the
+predicted voxels plus the components' boundary voxels, and a few transient
+bool lattices.
 
 Matching reports only its pairs: the unmatched GT and predicted IDs are the
 complement of the paired IDs, and the counts follow from the pair count.
@@ -104,10 +105,11 @@ def cc_dice(
     """Mean over GT components C of Dice(P ∩ R_C, C); None for empty GT.
 
     ``lab`` may be passed to reuse the GT labeling; a labeling of other
-    voxels than ``gt``'s raises ``ValueError`` (an O(GT) check, see
-    ``components._check_labeling``). The prediction mask is scanned once,
-    for the C-order indices of its voxels; the intersections and R_C are
-    both read at those indices only. A volume that is not a bool mask raises
+    voxels than ``gt``'s, or of another grid, raises ``ValueError``
+    (``components._check_labeling``: O(1) for ``label_components(gt)``,
+    O(GT) for any other). The prediction mask is scanned once, for the
+    C-order indices of its voxels; the intersections and R_C are both read
+    at those indices only. A volume that is not a bool mask raises
     ``TypeError``.
     """
     _check_metric(metric)
@@ -117,12 +119,6 @@ def cc_dice(
         lab = label_components(gt)
     else:
         _check_labeling(lab, gt)
-    return _cc_dice(pred, lab, metric)
-
-
-def _cc_dice(pred: BinaryMask, lab: ComponentLabeling, metric: str) -> float | None:
-    """``cc_dice`` of ``pred`` against the mask ``lab`` labels, unchecked:
-    ``case_metrics`` hands it the GT labeling it has just built."""
     if lab.count == 0:
         return None
     n = lab.count
@@ -250,7 +246,7 @@ def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> Cas
 
     return CaseMetrics(
         dice=hard_dice(pred, gt),
-        cc_dice=_cc_dice(pred, gt_lab, metric),
+        cc_dice=cc_dice(pred, gt, metric, lab=gt_lab),
         precision=precision,
         recall=recall,
         f1=f1,

@@ -95,6 +95,12 @@ class Spacing:
     def as_tuple(self) -> tuple[float, float, float]:
         return (float(self.sx), float(self.sy), float(self.sz))
 
+    def isclose(self, other: Spacing) -> bool:
+        """Whether the two agree within a relative ``SPACING_RTOL`` per axis,
+        since NIfTI stores spacings as float32."""
+        return all(math.isclose(x, y, rel_tol=SPACING_RTOL)
+                   for x, y in zip(self.as_tuple(), other.as_tuple()))
+
 
 def _freeze(voxels: np.ndarray, spacing: Spacing, dtype, copy: bool | None = True) -> np.ndarray:
     """``voxels`` as a read-only ``dtype`` array after the grid checks: a copy,
@@ -180,18 +186,15 @@ class LogitVolume:
 
 
 def require_same_grid(a, b) -> None:
-    """Raise ShapeMismatchError unless the two volumes share shape and spacing.
-
-    Spacings match within a relative ``SPACING_RTOL`` per axis, since NIfTI
-    stores them as float32.
-    """
+    """Raise ShapeMismatchError unless the two volumes share shape and spacing
+    (``Spacing.isclose``)."""
     if a.voxels.shape != b.voxels.shape:
         raise ShapeMismatchError(
             f"volume shapes differ: {a.voxels.shape} vs {b.voxels.shape}"
         )
-    sa, sb = a.spacing.as_tuple(), b.spacing.as_tuple()
-    if not all(math.isclose(x, y, rel_tol=SPACING_RTOL) for x, y in zip(sa, sb)):
-        raise ShapeMismatchError(f"volume spacings differ: {sa} vs {sb}")
+    sa, sb = a.spacing, b.spacing
+    if not sa.isclose(sb):
+        raise ShapeMismatchError(f"volume spacings differ: {sa.as_tuple()} vs {sb.as_tuple()}")
 
 
 def require_masks(*volumes) -> None:

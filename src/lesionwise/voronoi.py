@@ -19,10 +19,10 @@ voxel) and serves as the conformance oracle.
 
 ``voronoi_partition`` is the one public partition: it assigns every lattice
 voxel and serves the loss set-up and the ``voronoi`` subcommand. Evaluation
-reads regions only at the predicted voxels, so ``metrics._cc_dice``
-(``cc_dice``'s kernel) calls the private lookup ``_nearest_at``, which
-answers the same question at given voxels with the same tie policy and
-never builds the dense partition (see "Lookup" below).
+reads regions only at the predicted voxels, so ``metrics.cc_dice`` calls
+the private lookup ``_nearest_at``, which answers the same question at
+given voxels with the same tie policy and never builds the dense partition
+(see "Lookup" below).
 
 Importing this module loads no part of scipy. ``scipy.ndimage`` is
 imported inside its two users here, ``_windows`` (``find_objects``) and
@@ -71,10 +71,10 @@ Lookup
 ``_nearest_at(lab, flat, metric)`` maps the voxels at C-order linear indices
 ``flat`` to their lowest-ID nearest components, equal to
 ``voronoi_partition(lab, metric).region_of.ravel()[flat]``, without building
-the partition. It is ``cc_dice``'s lookup: ``metrics._cc_dice`` hands it the
-indices of the predicted voxels, and it checks nothing: ``cc_dice`` or
-``case_metrics`` has checked the metric and the grid, and ``_cc_dice`` has
-returned early on an empty ground truth. It rests on one
+the partition. It is ``cc_dice``'s lookup: ``metrics.cc_dice`` hands it the
+indices of the predicted voxels, and it checks nothing: ``cc_dice`` has
+checked the metric, the grid and the labeling, and has returned early on an
+empty ground truth. It rests on one
 lemma: under either metric, no interior voxel of a component C (one whose
 6-neighbours inside the lattice all lie in C) is strictly nearer to a voxel
 q outside C than every 6-boundary voxel of C. Proof: take a nearest voxel v

@@ -995,6 +995,34 @@ def test_partition_of_a_shifted_labeling_rejected():
     assert combined_loss("cc-dicece", f2.logits, f2.gt, lab=lab, part=equal).scalar == want
 
 
+def _anisotropic_labeling_case():
+    """A phantom, logits, and a labeling of the same voxels at other spacing."""
+    gt, _ = build_phantom(random_instances_spec(Shape(24, 20, 16), UNIT, 5, seed=3))
+    logits = mk_logits(np.random.default_rng(1).standard_normal(gt.voxels.shape))
+    return gt, logits, label_components(mk_mask(gt.voxels, Spacing(1, 1, 4)))
+
+
+def test_labeling_at_another_spacing_rejected():
+    # Its physical partition is another one: this once gave 3.588830 for 3.588879.
+    gt, logits, other = _anisotropic_labeling_case()
+    assert combined_loss("cc-dicece", logits, gt, metric="physical").scalar == \
+        pytest.approx(3.588879, abs=5e-7)
+    for kind in ("cc-dicece", "blob-dicece"):
+        with pytest.raises(ValueError, match="shape or spacing does not match"):
+            combined_loss(kind, logits, gt, metric="physical", lab=other)
+
+
+def test_partition_of_an_equal_labeling_at_another_spacing_rejected():
+    gt, logits, other = _anisotropic_labeling_case()
+    lab = label_components(gt)
+    assert np.array_equal(other.labels, lab.labels)
+    part = voronoi_partition(other, "physical")  # 2869 of 7680 voxels in other regions
+    assert np.count_nonzero(part.region_of != voronoi_partition(lab, "physical").region_of)
+    # this once gave 3.588830 without error
+    with pytest.raises(ValueError, match="Voronoi partition does not match"):
+        combined_loss("cc-dicece", logits, gt, metric="physical", lab=lab, part=part)
+
+
 def test_combined_loss_rejects_an_empty_labeling_of_a_nonempty_gt():
     gt, _, logits = _random_case(81, n_components=2)
     empty = label_components(mk_mask(np.zeros(gt.voxels.shape, dtype=bool)))

@@ -6,6 +6,7 @@ import pytest
 from lesionwise import (
     CaseMetrics,
     Shape,
+    Spacing,
     aggregate,
     binarize,
     build_phantom,
@@ -20,6 +21,7 @@ from lesionwise import (
     random_instances_spec,
     voronoi_partition_bruteforce,
 )
+from lesionwise.components import ComponentLabeling
 from lesionwise.metrics import _hopcroft_karp
 from oracles import UNIT, chain_pair, max_matching_size, mk_mask
 from oracles import _hopcroft_karp as recursive_hopcroft_karp
@@ -387,3 +389,43 @@ def test_cc_dice_refuses_a_labeling_of_other_voxels():
         cc_dice(pred, f2.gt, lab=rolled)
     assert cc_dice(pred, f2.gt, lab=label_components(f2.gt)) == pytest.approx(0.48)
     assert cc_dice(pred, f2.gt) == pytest.approx(0.48)
+
+
+def _anisotropic_labeling_case():
+    """A phantom, a prediction, and a labeling of the same voxels at other spacing."""
+    gt, _ = build_phantom(random_instances_spec(Shape(24, 20, 16), UNIT, 5, seed=3))
+    rng = np.random.default_rng(1)
+    pred = mk_mask(rng.random(gt.voxels.shape) < 0.05)
+    other = label_components(mk_mask(gt.voxels, Spacing(1, 1, 4)))
+    return gt, pred, other
+
+
+def test_cc_dice_refuses_a_labeling_at_another_spacing():
+    # Its physical regions are other ones: this once gave 0.008163 without error.
+    gt, pred, other = _anisotropic_labeling_case()
+    with pytest.raises(ValueError, match="shape or spacing does not match"):
+        cc_dice(pred, gt, "physical", lab=other)
+    assert cc_dice(pred, gt, "physical") == pytest.approx(0.005556, abs=5e-7)
+
+
+def test_cc_dice_checks_a_labeling_of_its_own_gt_in_constant_time():
+    gt, pred, _ = _anisotropic_labeling_case()
+    want = cc_dice(pred, gt)
+    lab = label_components(gt)
+    assert cc_dice(pred, gt, lab=lab) == want
+    assert "foreground_coords" not in vars(lab)  # the O(GT) check gathers there
+    assert lab.mask is gt
+
+    # a labeling of an equal but distinct mask, and one built by hand, take
+    # the O(GT) check
+    equal = label_components(mk_mask(gt.voxels.copy()))
+    by_hand = ComponentLabeling(lab.labels, lab.count, lab.volumes_vox, lab.volumes_mm3,
+                                lab.spacing)
+    for other in (equal, by_hand):
+        assert other.mask is not gt
+        assert cc_dice(pred, gt, lab=other) == want
+        assert "foreground_coords" in vars(other)
+    rolled = ComponentLabeling(np.roll(lab.labels, 3, axis=0), lab.count, lab.volumes_vox,
+                               lab.volumes_mm3, lab.spacing)
+    with pytest.raises(ValueError, match="other voxels than the ground truth"):
+        cc_dice(pred, gt, lab=rolled)

@@ -10,6 +10,9 @@ line ``lesionwise <command>: <message>``.
 package's one worker pool: ``LESIONWISE_THREADS`` workers, by default one
 per usable CPU. Reports are fully deterministic: identical inputs and
 configuration produce byte-identical files whatever the worker count.
+The ``config`` record of ``eval``'s report and of ``loss``'s JSON has a fixed
+list of keys, the options and policies that produced the numbers; an option
+added to the parser does not enter it.
 """
 
 from __future__ import annotations
@@ -150,7 +153,9 @@ def cmd_eval(args) -> int:
     report = {
         "schema_version": 1,
         "tool": {"name": "lesionwise", "version": __version__},
-        "config": _config_echo(args),
+        "config": {"command": "eval", "manifest": args.manifest, "out": args.out,
+                   "threshold": args.threshold, "distance": args.distance,
+                   "empty_gt": "global-only", "format": args.format, "tie_policy": TIE_POLICY},
         "cases": case_records,
         "aggregate": agg_rec,
         "quartile_recall": qr_rec,
@@ -179,15 +184,10 @@ def _write_cases_csv(path: Path, case_records) -> None:
             )
 
 
-def _config_echo(args) -> dict:
-    """Every option the command parsed, in the parser's order, then the tie policy."""
-    cfg = {key: val for key, val in vars(args).items() if key != "func"}
-    cfg["tie_policy"] = TIE_POLICY
-    return cfg
-
-
 def cmd_loss(args) -> int:
     _pool.worker_count()  # a bad LESIONWISE_THREADS fails before any output
+    if args.normalized and not args.grad_out:
+        raise ValueError("--normalized needs --grad-out")
     weights = LossWeights(args.w_global, args.w_instance, args.w_dice, args.w_ce)
     gt = read_mask(args.gt)
     logits = read_volume(args.logits)
@@ -202,7 +202,11 @@ def cmd_loss(args) -> int:
 
     payload = {
         "tool": {"name": "lesionwise", "version": __version__},
-        "config": _config_echo(args),
+        "config": {"command": "loss", "gt": args.gt, "logits": args.logits, "loss": args.loss,
+                   "w_global": args.w_global, "w_instance": args.w_instance,
+                   "w_dice": args.w_dice, "w_ce": args.w_ce, "distance": args.distance,
+                   "grad_out": args.grad_out, "normalized": args.normalized,
+                   "tie_policy": TIE_POLICY},
         "loss": _num(value),
     }
     print(json.dumps(payload, indent=2))
@@ -264,8 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory for reports")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--distance", choices=VALID_METRICS, default="voxel")
-    p.add_argument("--empty-gt", dest="empty_gt", choices=["global-only", "zero"],
-                   default="global-only", help="echoed in the report; has no effect")
     p.add_argument("--format", default="json,csv", help="comma list of report formats")
     p.set_defaults(func=cmd_eval)
 

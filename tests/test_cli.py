@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -288,15 +290,54 @@ def test_loss_command_reproduces_figure1_value(figure1_files, capsys):
     assert payload["config"]["loss"] == "cc-dicece"
 
 
-def test_loss_command_echoes_every_option(figure1_files, capsys):
+def test_loss_command_config_has_its_record_keys(figure1_files, capsys):
+    grad_out = str(figure1_files / "g.raw")
     assert run_cli(["loss", "--gt", str(figure1_files / "gt.raw"),
                     "--logits", str(figure1_files / "pred_partial.raw"),
-                    "--normalized"]) == EXIT_OK
+                    "--grad-out", grad_out, "--normalized"]) == EXIT_OK
     config = json.loads(capsys.readouterr().out)["config"]
     assert list(config) == ["command", "gt", "logits", "loss", "w_global", "w_instance",
                             "w_dice", "w_ce", "distance", "grad_out", "normalized",
                             "tie_policy"]
-    assert (config["command"], config["grad_out"], config["normalized"]) == ("loss", None, True)
+    assert (config["command"], config["grad_out"], config["normalized"]) \
+        == ("loss", grad_out, True)
+
+
+def test_loss_normalized_without_grad_out_is_usage_error(tmp_path, capsys):
+    # the inputs do not exist: the option check comes before any read (which would exit 2)
+    assert run_cli(["loss", "--gt", str(tmp_path / "gt.raw"),
+                    "--logits", str(tmp_path / "logits.raw"), "--normalized"]) == EXIT_USAGE
+    assert "--grad-out" in _one_line_error(capsys, "loss")
+    assert capsys.readouterr().out == ""
+
+
+def _probing_build_parser():
+    """The real parser with one more option, ``--probe``, on ``eval`` and ``loss``."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("eval", "loss"):
+        sub.choices[name].add_argument("--probe", default="probe")
+    return parser
+
+
+def test_config_does_not_follow_the_parser(tmp_path, monkeypatch, capsys):
+    _write_pinned_cases(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    eval_argv = ["eval", "--manifest", "cases.csv", "--out", "out"]
+    loss_argv = ["loss", "--gt", "gt2.raw", "--logits", "logits2.raw"]
+    outputs = []
+    for build in (build_parser, _probing_build_parser):
+        monkeypatch.setattr(cli, "build_parser", build)
+        cli._parser.cache_clear()
+        try:
+            assert run_cli(eval_argv) == EXIT_PARTIAL
+            report = (tmp_path / "out" / "report.json").read_bytes()
+            shutil.rmtree(tmp_path / "out")
+            assert run_cli(loss_argv) == EXIT_OK
+            outputs.append((report, capsys.readouterr().out))
+        finally:
+            cli._parser.cache_clear()
+    assert outputs[0] == outputs[1]
 
 
 def test_loss_command_gradient_export(figure1_files, tmp_path):
@@ -497,6 +538,17 @@ def test_bad_threshold_is_usage_error(tmp_path):
     code = run_cli(["eval", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
                     "--threshold", "1.5"])
     assert code == EXIT_USAGE
+
+
+def test_eval_empty_gt_option_is_refused(tmp_path, capsys):
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("a", "b")])
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                    "--empty-gt", "zero"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lesionwise ")
+    assert "unrecognized arguments: --empty-gt zero" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -2,8 +2,9 @@
 
 ``eval``'s cases and the loss slabs run through ``run_all`` on
 ``worker_count()`` workers: ``LESIONWISE_THREADS`` if set, else the usable
-CPUs. The count is read on every call; each count gets its own pool on
-first use, and one worker needs none. Work started from a pool worker runs
+CPUs. One call runs inline without reading the count; the count is read
+on every run of two or more calls, each count gets its own pool on first
+use, and one worker needs none. Work started from a pool worker runs
 inline, so no worker waits on a pool and sharing one cannot deadlock. A
 forked child (a data loader's worker, say) makes pools of its own.
 """
@@ -63,8 +64,7 @@ def run_all(calls: list) -> list:
     running when this returns or raises; the first failed call, in order,
     raises. Run inline, a failed call ends the run before the next starts.
     """
-    workers = worker_count()
-    if workers == 1 or len(calls) < 2 or getattr(_LOCAL, "worker", False):
+    if len(calls) < 2 or (workers := worker_count()) == 1 or getattr(_LOCAL, "worker", False):
         return [call() for call in calls]
     pool = _executor(workers)
     futures = [pool.submit(contextvars.copy_context().run, call) for call in calls]

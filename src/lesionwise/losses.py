@@ -18,14 +18,19 @@ and cross-entropy is the mean over S of the stable logit form
   is C plus the background, which every term shares, and the CE mean still
   counts the masked voxels. Each false positive affects every term.
 
-Internally one pass over the lattice computes the sigmoid and the voxel CE
-once per call, and one reduction turns a voxel -> group index into per-term
-Dice and CE values and per-group gradient coefficients. Each gradient is one
-more pass, which recomputes p (1 - p) and p - g from p and the GT.
+Internally one pass over the lattice computes the sigmoid, the voxel CE and
+p * g once per call, and one reduction turns a voxel -> group index into
+per-term Dice and CE values and per-group gradient coefficients. The
+gradient is one more pass, which computes p (1 - p) and p - g once from p
+and the GT and builds each weighted set of terms' part from them.
 ``combined_loss`` builds the pass once and hands it to the global and the
-instance loss, and checks the gradient for NaN and Inf once.
+instance loss, which given a pass return their terms and not a gradient; it
+then takes one gradient pass over both sets of terms, each part scaled by
+its weight and the two added, and checks the result for NaN and Inf once.
+So a ``dicece`` step makes 2 passes over the lattice and an instance kind 3:
+the voxel pass, the copy of the group index and the gradient.
 
-The pass, the reductions and the gradients write into a workspace of
+The pass, the reductions and the gradient write into a workspace of
 lattices held per thread (a ``threading.local``). The next call on the same
 thread reuses it while the logits' shape and strides stay the same, and
 replaces it when either changes (a switch between float32 and float64
@@ -37,14 +42,17 @@ another shape or layout replaces it: about 36 MB at 96^3, and one call on a
 512^3 volume keeps about 5.5 GB. A warm call allocates only the gradient it
 returns, plus a bool lattice for its finiteness check and arrays the size
 of the GT foreground or of the component count; with logits not in C order
-the instance sums also take a C-order copy of a lattice, one at a time.
+the instance sums also take a C-order copy of a lattice, one at a time,
+freed before the gradient is allocated.
 
-The elementwise lattice work (the pass, the gradients and the products and
-copies that feed the sums) runs on slabs of about ``SLAB_VOXELS`` voxels,
-views of the workspace cut along the slowest axis of its layout, through
-``lesionwise._pool`` (see there for the worker count); numpy releases the
-GIL inside its ufunc loops. Each voxel sees the same ufunc loop and operands
-whatever the slabs, and the sums whose bits depend on the order of
+The elementwise lattice work (the pass, the gradient and the index copy
+that feeds the group sums) runs on slabs of about ``SLAB_VOXELS`` voxels,
+views of the workspace cut along the slowest axis of its layout. A lattice
+of one slab is worked inline; else one task per worker, up to the slab
+count, goes to ``lesionwise._pool`` (see there for the worker count), and
+each takes slabs from a shared iterator until none is left. numpy releases
+the GIL inside its ufunc loops. Each voxel sees the same ufunc loops and
+operands whatever the slabs, and the sums whose bits depend on the order of
 summation (``np.sum``'s pairwise, ``bincount``'s sequential) stay one
 whole-lattice call each, so the bits do not depend on the worker count.
 With logits not in C order each worker's ``np.take`` of an instance
@@ -77,6 +85,7 @@ bound this changes probabilities by less than 1e-17 and keeps exp() finite.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -144,19 +153,26 @@ def _slabs(like: np.ndarray) -> list[tuple]:
     if like.size <= SLAB_VOXELS:
         return [...]
     ax = max(range(like.ndim), key=lambda a: (like.shape[a] > 1, like.strides[a]))
-    n = like.shape[ax]
-    rows = max(1, SLAB_VOXELS * n // max(like.size, 1))
-    return [(slice(None),) * ax + (slice(k, k + rows),) for k in range(0, n, rows)]
+    rows = max(1, SLAB_VOXELS * like.shape[ax] // like.size)
+    return [(slice(None),) * ax + (slice(k, k + rows),) for k in range(0, like.shape[ax], rows)]
 
 
 def _each_slab(fn, like: np.ndarray) -> None:
-    """``fn(index)`` for each slab of ``like``, on the pool.
+    """``fn(index)`` for each slab of ``like``: inline for one slab, else on
+    one pool task per worker, each draining a shared iterator of the slabs.
 
     ``fn`` applies the same elementwise ufuncs to each slab of its lattices
     that it would apply to the whole, so the bits do not depend on the slab
     size or the worker count.
     """
-    _pool.run_all([functools.partial(fn, i) for i in _slabs(like)])
+    slabs = _slabs(like)
+    todo = iter(slabs)  # a list iterator's next() is atomic under the GIL
+
+    def drain():
+        for i in todo:
+            fn(i)
+
+    _pool.run_all([drain] * (min(len(slabs), _pool.worker_count()) if len(slabs) > 1 else 1))
 
 
 class _Workspace:
@@ -171,10 +187,12 @@ class _Workspace:
     ``bincount`` in C order whatever the layout and their bits do not
     depend on it.
 
-    ``grad`` is scratch in the pass, and ``ce`` once ``_reduce`` has summed
-    it: a grouped gradient writes its CE coefficients there. No stage reads
-    ``ce`` after a gradient; ``combined_loss`` reduces its instance terms
-    after the global gradient, which leaves ``ce`` alone.
+    The pass leaves p * g in ``buf`` for ``_reduce`` to sum. ``grad`` is
+    scratch in the pass, and ``buf``, ``ce`` and ``grad`` are the gradient's
+    scratch once ``_reduce`` has summed them, so ``combined_loss`` reduces
+    both sets of terms before its one gradient. A grouped gradient sets a
+    bit above every group in ``index`` on the GT voxels, to look up their
+    on-GT coefficients (see ``_Terms.tables``).
     """
 
     def __init__(self, like: np.ndarray):
@@ -208,10 +226,12 @@ def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _Workspace:
         e = sigmoid_parts(lc, out=(p, ws.buf[i], ce))[1]  # ce holds 1 + e until set
         np.copyto(g, gt.voxels[i])
         # softplus(l) = max(l, 0) + log1p(e); on GT voxels softplus(l) - l =
-        # softplus(-l), the CE of a positive.
+        # softplus(-l), the CE of a positive. Off the GT, ce - 0 l is ce, as
+        # ce > 0, so the masked subtract gives the bits of ce - g l.
         np.maximum(lc, 0.0, out=ce)
         ce += np.log1p(e, out=e)
-        ce -= np.multiply(lc, g, out=lc)
+        np.subtract(ce, lc, out=ce, where=g)
+        np.multiply(p, g, out=ws.buf[i])  # summed by _reduce, while the slab is in cache
 
     _each_slab(slab, ws.p)
     return ws
@@ -238,6 +258,31 @@ class _Terms:
         with np.errstate(over="ignore", invalid="ignore"):
             return w_dice * (1.0 - 2.0 * self.inter / self.denom) + w_ce * (self.ce_sum / self.size)
 
+    def tables(self, term_weights: np.ndarray, w_dice: float, w_ce: float):
+        """Per-group coefficients of the gradient of
+        ``sum_k term_weights[k] * (w_dice * dice_k + w_ce * ce_k)``, the Dice
+        part's and the CE part's; group 0 carries the sum of every term's
+        coefficients when shared. Each table holds the off-GT groups in its
+        lower half and the on-GT groups in its upper half, of a power-of-two
+        length, so a GT voxel looks up at its group with the half's bit set.
+
+        On the voxels of term k, d dice_k/dp = -2 (g denom_k - inter_k) / denom_k^2,
+        split as g * a_k + b_k so that a shared group can sum its terms' b_k,
+        and d ce_k/dl = (p - g) / size_k; inf or NaN where the weights
+        overflow, which ``LossValue`` refuses.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            wd = w_dice * term_weights
+            a = -2.0 * wd / self.denom
+            b = 2.0 * wd * self.inter / (self.denom * self.denom)
+            c = w_ce * term_weights / self.size
+            if self.lab is not None:
+                a, b, c = (np.concatenate(([x.sum() if self.shared else 0.0], x)) for x in (a, b, c))
+            half = 1 << (a.size - 1).bit_length()  # > every group
+            tabs = np.zeros((2, 2 * half))  # the Dice part's, then the CE part's
+            tabs[:, :a.size], tabs[:, half:half + a.size] = (0.0 * a + b, c), (a + b, c)
+            return tabs
+
 
 def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
             part: VoronoiPartition | None = None) -> _Terms:
@@ -258,9 +303,7 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
     # The sums are whole-lattice calls, as their bits depend on the order of
     # summation: np.sum's pairwise and bincount's sequential.
     if lab is None:
-        _each_slab(lambda i: np.multiply(vp.p[i], vp.gt[i], out=vp.buf[i]), vp.buf)
-        inter = np.sum(vp.buf)
-        psum, ce_sum = np.sum(vp.p), np.sum(vp.ce)
+        inter, psum, ce_sum = (np.sum(x) for x in (vp.buf, vp.p, vp.ce))  # buf: p * g
         gsum = float(np.count_nonzero(vp.gt))
         return _Terms(None, False, np.array([inter]), np.array([psum + gsum]),
                       np.array([ce_sum]), np.array([float(vp.p.size)]))
@@ -278,60 +321,60 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
         psum, ce_sum = _pool.run_all([functools.partial(group_sum, x) for x in (vp.p, vp.ce)])
     else:
         psum, ce_sum = group_sum(vp.p), group_sum(vp.ce)
-    sums = (inter, psum, ce_sum)
     if shared:
-        inter, psum, ce_sum = (s[1:] + s[0] for s in sums)
+        inter, psum, ce_sum = (s[1:] + s[0] for s in (inter, psum, ce_sum))
         size = np.full(n, float(flat.size))
     else:
-        inter, psum, ce_sum = (s[1:] for s in sums)
+        inter, psum, ce_sum = (s[1:] for s in (inter, psum, ce_sum))
         size = part.region_sizes().astype(np.float64)
     gsum = lab.volumes_vox.astype(np.float64)
     return _Terms(lab, shared, inter, psum + gsum, ce_sum, size)
 
 
-def _grad(vp: _Workspace, t: _Terms, w_dice: float, w_ce: float,
-          term_weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum_k term_weights[k] * (w_dice * dice_k + w_ce * ce_k)``, into ``out``.
+def _grad(vp: _Workspace, parts: list, w_dice: float, w_ce: float, out: np.ndarray) -> np.ndarray:
+    """Gradient of the sum over ``parts`` ``(terms, term_weights, scale)``,
+    one or two, of ``scale * sum_k term_weights[k] * (w_dice * dice_k + w_ce * ce_k)``,
+    into ``out`` in one pass (see ``_Terms.tables``).
 
-    On the voxels of term k, d dice_k/dp = -2 (g denom_k - inter_k) / denom_k^2,
-    split as g * a_k + b_k so that a shared group can sum its terms' b_k, and
-    d ce_k/dl = (p - g) / size_k.
+    Each part is built whole as (g a + b) p' + (p - g) c, then multiplied by
+    its scale, and the second is added to the first: the bits of the
+    weighted sum of the parts' own gradients.
     """
-    # (g a + b) p' + (p - g) c, with g a + b taken per group on and off the
-    # GT; inf or NaN where the weights overflow, which LossValue refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        wd = w_dice * term_weights
-        a = -2.0 * wd / t.denom
-        b = 2.0 * wd * t.inter / (t.denom * t.denom)
-        c = w_ce * term_weights / t.size
-        if t.lab is not None:  # group 0 carries the sum of every term's coefficients when shared
-            a, b, c = (np.concatenate(([x.sum() if t.shared else 0.0], x)) for x in (a, b, c))
-        off_gt, on_gt = 0.0 * a + b, a + b
+    tables = [(t.lab, *t.tables(tw, w_dice, w_ce), scale) for t, tw, scale in parts]
 
     def slab(i):
-        o, p, g, buf = out[i], vp.p[i], vp.gt[i], vp.buf[i]
-        if t.lab is None:
-            np.copyto(o, off_gt[0])
-            np.copyto(o, on_gt[0], where=g)
-            ce_coef = c[0]
-        else:  # a GT voxel's group is its own component
-            idx = vp.index[i]
-            np.take(off_gt, idx, out=o, mode="clip")
-            np.copyto(o, np.take(on_gt, idx, out=buf, mode="clip"), where=g)
-            ce_coef = np.take(c, idx, out=vp.ce[i], mode="clip")
-        o *= np.multiply(np.subtract(1.0, p, out=buf), p, out=buf)  # p' = p (1 - p)
-        o += np.multiply(np.subtract(p, g, out=buf), ce_coef, out=buf)  # the CE part
+        p, g = vp.p[i], vp.gt[i]
+        pp = np.multiply(np.subtract(1.0, p, out=vp.buf[i]), p, out=vp.buf[i])  # p' = p (1 - p)
+        pg = np.subtract(p, g, out=vp.ce[i])
+        for k, (lab, dice_tab, ce_tab, scale) in enumerate(tables):
+            # the second part is built in grad, with pp's lattice as scratch once pp is read
+            o, tmp = (out[i], vp.grad[i]) if k == 0 else (vp.grad[i], vp.buf[i])
+            if lab is None:
+                np.copyto(o, dice_tab[0])
+                np.copyto(o, dice_tab[1], where=g)
+            else:  # setting a set bit changes nothing, so a second gradient reads the same
+                idx = np.bitwise_or(vp.index[i], ce_tab.size // 2, out=vp.index[i], where=g)
+                np.take(dice_tab, idx, out=o, mode="clip")
+            o *= pp
+            coef = ce_tab[0] if lab is None else np.take(ce_tab, idx, out=tmp, mode="clip")
+            o += np.multiply(pg, coef, out=tmp)  # the CE part
+            if scale != 1.0:
+                o *= scale
+            if k:
+                out[i] += o
 
     _each_slab(slab, out)
     return out
 
 
 class _Unchecked(NamedTuple):
-    """A loss taken on a pass: its gradient is the workspace's ``grad``
-    lattice, overwritten by the next loss on the thread, and not yet checked."""
+    """A loss taken on a pass: its scalar, and the terms and term weights
+    that its gradient is taken from, which ``combined_loss`` weighs into its
+    one gradient pass."""
 
     scalar: float
-    grad: np.ndarray
+    terms: _Terms
+    term_weights: np.ndarray
 
 
 def _mean_of_terms(logits, vp, t, w_dice, w_ce) -> LossValue | _Unchecked:
@@ -342,8 +385,8 @@ def _mean_of_terms(logits, vp, t, w_dice, w_ce) -> LossValue | _Unchecked:
     scalar = float(np.sum(t.values(w_dice, w_ce))) / n
     weights = np.full(n, 1.0 / n)
     if logits is vp:
-        return _Unchecked(scalar, _grad(vp, t, w_dice, w_ce, weights, vp.grad))
-    return LossValue(scalar, _grad(vp, t, w_dice, w_ce, weights, np.empty_like(vp.p)))
+        return _Unchecked(scalar, t, weights)
+    return LossValue(scalar, _grad(vp, [(t, weights, 1.0)], w_dice, w_ce, np.empty_like(vp.p)))
 
 
 def dicece_loss(
@@ -391,9 +434,7 @@ def _instance_terms(logits, gt, lab, part=None, *, cc=False):
     """
     _check_labeling(lab, gt)
     if lab.count < 1:
-        raise EmptyGroundTruthError(
-            "instance loss needs at least one ground-truth component"
-        )
+        raise EmptyGroundTruthError("instance loss needs at least one ground-truth component")
     if cc and part is None:
         raise ValueError("CC instance loss needs a Voronoi partition of lab")
     if cc and not _partitions(part, lab):
@@ -403,14 +444,8 @@ def _instance_terms(logits, gt, lab, part=None, *, cc=False):
 
 
 def _each_term(vp, t, w_dice, w_ce) -> list[LossValue]:
-    values = t.values(w_dice, w_ce)
-    terms = []
-    for k in range(values.size):
-        only_k = np.zeros(values.size)
-        only_k[k] = 1.0
-        grad = _grad(vp, t, w_dice, w_ce, only_k, np.empty_like(vp.p))
-        terms.append(LossValue(float(values[k]), grad))
-    return terms
+    return [LossValue(float(v), _grad(vp, [(t, only_k, 1.0)], w_dice, w_ce, np.empty_like(vp.p)))
+            for v, only_k in zip(t.values(w_dice, w_ce), np.eye(t.inter.size))]
 
 
 def cc_instance_loss(
@@ -510,35 +545,27 @@ def combined_loss(
     weights = weights or LossWeights()
     vp = _voxel_pass(logits, gt)
 
-    # Given the pass, each loss leaves its gradient in the workspace; this
-    # product is the one lattice the call allocates, checked once on return.
+    # Given the pass, each loss returns its terms; the one gradient pass
+    # writes the one lattice the call allocates, checked once on return.
     g = dicece_loss(vp, gt, weights.w_dice, weights.w_ce)
     scalar = weights.w_global * g.scalar
-    grad = np.empty_like(g.grad)
-    _each_slab(lambda i: np.multiply(g.grad[i], weights.w_global, out=grad[i]), grad)
-    if kind is LossKind.DICECE:
-        return LossValue(scalar, grad)
-
-    if lab is None:
-        lab = label_components(gt)
-    elif kind is LossKind.CC_DICECE and part is None:
-        _check_labeling(lab, gt)  # before a partition is built from it
-    try:  # the instance loss checks lab against gt before it counts components
-        if kind is LossKind.CC_DICECE:
-            if part is None and lab.count:
-                part = voronoi_partition(lab, metric)
-            inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
-        else:
-            inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
-    except EmptyGroundTruthError:
-        return LossValue(scalar, grad)
-
-    def add(i):
-        np.add(grad[i], np.multiply(inst.grad[i], weights.w_instance, out=inst.grad[i]),
-               out=grad[i])
-
-    _each_slab(add, grad)
-    return LossValue(scalar + weights.w_instance * inst.scalar, grad)
+    parts = [(g.terms, g.term_weights, weights.w_global)]
+    if kind is not LossKind.DICECE:
+        if lab is None:
+            lab = label_components(gt)
+        elif kind is LossKind.CC_DICECE and part is None:
+            _check_labeling(lab, gt)  # before a partition is built from it
+        # the instance loss checks lab against gt before it counts components
+        with contextlib.suppress(EmptyGroundTruthError):  # no instance term
+            if kind is LossKind.CC_DICECE:
+                if part is None and lab.count:
+                    part = voronoi_partition(lab, metric)
+                inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
+            else:
+                inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)
+            scalar += weights.w_instance * inst.scalar
+            parts.append((inst.terms, inst.term_weights, weights.w_instance))
+    return LossValue(scalar, _grad(vp, parts, weights.w_dice, weights.w_ce, np.empty_like(vp.p)))
 
 
 def normalize_gradient(grad: np.ndarray) -> np.ndarray:

@@ -457,6 +457,20 @@ def test_each_gradient_makes_one_slab_pass(monkeypatch):
         assert per_grad and per_grad == [1] * len(per_grad), (name, per_grad)
 
 
+def test_each_step_makes_its_pass_budget_and_one_gradient(monkeypatch):
+    # dicece: the voxel pass and the gradient; an instance kind also copies
+    # the group index. The gradient of both terms is one _grad call.
+    gt, lab, logits = _random_case(64, n_components=3)
+    part = voronoi_partition(lab)
+    calls = Counter()
+    _count_calls(monkeypatch, losses, "_each_slab", calls)
+    _count_calls(monkeypatch, losses, "_grad", calls)
+    for kind, passes in (("dicece", 2), ("cc-dicece", 3), ("blob-dicece", 3)):
+        calls.clear()
+        combined_loss(kind, logits, gt, lab=lab, part=part)
+        assert calls == Counter({"_each_slab": passes, "_grad": 1}), kind
+
+
 def test_benchmark_layer_calls_see_each_loss_once(monkeypatch, benchmark_tracer):
     # The traced benchmark run times the losses by wrapping these attributes;
     # tests/test_bench_hooks.py checks that every wrapped attribute resolves.
@@ -735,6 +749,67 @@ def test_bits_do_not_depend_on_the_slabs_or_the_worker_count(monkeypatch, worker
         calls.clear()
         assert _slab_digests(cases) == want, slab_voxels
         assert (calls["_executor"] > 0) == (workers > 1), slab_voxels
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_combined_loss_is_the_weighted_sum_of_the_public_losses_bit_for_bit(monkeypatch, workers):
+    # 48x40x36 is two slabs. Raw bytes, as -0.0 == 0.0.
+    monkeypatch.setenv("LESIONWISE_THREADS", str(workers))
+    shape = (48, 40, 36)
+    assert len(losses._slabs(np.empty(shape))) == 2
+    for seed in (90, 91):
+        gt, lab = build_phantom(random_instances_spec(Shape(*shape), UNIT, 4, seed))
+        part = voronoi_partition(lab)
+        arr = np.random.default_rng(seed).normal(-1.0, 3.0, size=shape)
+        for logits in (LogitVolume(arr.astype(np.float32), UNIT), mk_logits(arr),
+                       LogitVolume(np.asfortranarray(arr.astype(np.float32)), UNIT)):
+            for w in (LossWeights(), LossWeights(0.7, 1.3, 0.9, 1.1)):
+                g = dicece_loss(logits, gt, w.w_dice, w.w_ce)
+                for kind, inst in (
+                        ("cc-dicece", cc_instance_loss(logits, gt, lab, part, w.w_dice, w.w_ce)),
+                        ("blob-dicece", blob_instance_loss(logits, gt, lab, w.w_dice, w.w_ce))):
+                    want_scalar = w.w_global * g.scalar + w.w_instance * inst.scalar
+                    want_grad = w.w_global * g.grad + w.w_instance * inst.grad
+                    got = combined_loss(kind, logits, gt, w, lab=lab, part=part)
+                    assert _digest(got) == (want_scalar.hex(), want_grad.tobytes()), (seed, kind, w)
+
+
+def test_one_slab_lattice_never_reaches_the_pool(monkeypatch):
+    # Nor reads the worker count: a small-lattice step pays no dispatch.
+    monkeypatch.setenv("LESIONWISE_THREADS", "2")
+    calls = Counter()
+    _count_calls(monkeypatch, _pool, "_executor", calls)
+    _count_calls(monkeypatch, _pool, "worker_count", calls)
+    for shape in ((8, 8, 8), (16, 12, 10)):
+        gt, lab, logits = _random_case(92, shape=shape, n_components=3)
+        assert len(losses._slabs(logits.voxels)) == 1
+        for kind in KINDS:
+            combined_loss(kind, logits, gt)
+            combined_loss(kind, logits, gt, lab=lab, part=voronoi_partition(lab))
+    assert calls == Counter()
+
+
+def test_a_slab_pass_hands_the_pool_one_task_per_worker(monkeypatch):
+    monkeypatch.setattr(losses, "SLAB_VOXELS", 1)
+    gt, lab, logits = _random_case(70, shape=(7, 6, 5), n_components=3)
+    part = voronoi_partition(lab)
+    run_all, sizes = _pool.run_all, []
+
+    def counted(calls):
+        sizes.append(len(calls))
+        return run_all(calls)
+
+    monkeypatch.setattr(_pool, "run_all", counted)
+    for workers in (2, 3, 9):  # 9 workers: one task per slab, as there are 7
+        monkeypatch.setenv("LESIONWISE_THREADS", str(workers))
+        for kind in KINDS:
+            sizes.clear()
+            combined_loss(kind, logits, gt, lab=lab, part=part)
+            # the voxel pass and the gradient; an instance kind's index copy,
+            # then its two group sums at once
+            tasks = min(7, workers)
+            want = [tasks] * 2 if kind == "dicece" else [tasks, tasks, 2, tasks]
+            assert sizes == want, (workers, kind)
 
 
 def test_threads_sharing_the_loss_pool_match_a_fresh_thread(monkeypatch):

@@ -36,6 +36,12 @@ def test_one_worker_or_one_call_runs_on_the_calling_thread(monkeypatch, threads,
     assert names == [threading.current_thread().name] * n_calls
 
 
+@pytest.mark.parametrize("n_calls", [0, 1])
+def test_fewer_than_two_calls_run_without_reading_the_count(monkeypatch, n_calls):
+    monkeypatch.setenv("LESIONWISE_THREADS", "two")  # raises if read
+    assert _pool.run_all([lambda: 7] * n_calls) == [7] * n_calls
+
+
 def test_every_call_ends_before_the_first_failure_in_order_raises(monkeypatch):
     monkeypatch.setenv("LESIONWISE_THREADS", "2")
     done = []

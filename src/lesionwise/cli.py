@@ -31,8 +31,7 @@ import numpy as np
 from . import __version__, _pool
 from .components import label_components
 from .dataset_stats import corpus_stats
-from .io import (VolumeFormatError, _is_nifti_path, _sidecar_path, read_mask, read_volume,
-                 write_volume)
+from .io import VolumeFormatError, _volume_paths, read_mask, read_volume, write_volume
 from .losses import LossKind, LossWeights, combined_loss, normalize_gradient
 from .metrics import METRIC_FIELDS, aggregate, case_metrics, quartile_recall
 from .phantoms import figure1_scenario, figure2_scenario
@@ -215,8 +214,7 @@ def cmd_loss(args) -> int:
 
 def cmd_stats(args) -> int:
     directory = Path(args.masks)
-    paths = [p for p in sorted(directory.iterdir()) if _is_nifti_path(p)
-             or (not p.name.lower().endswith(".json") and _sidecar_path(p).exists())]
+    paths = _volume_paths(directory)
     if not paths:
         raise ValueError(f"no volumes found in {directory}")
     stats = corpus_stats(read_mask(p) for p in paths)

@@ -160,17 +160,21 @@ def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
     O(1) when ``lab.mask is gt``: ``label_components(gt)`` made it. Any other
     labeling, built by hand or made from an equal but distinct mask, is
     checked in O(GT voxels) once ``gt`` has counted its foreground (one
-    lattice pass, cached on the mask). The losses and ``metrics.cc_dice``
-    share it.
+    lattice pass, cached on the mask): its labeled voxels must be ``gt``'s,
+    its IDs positive, and its ``volumes_vox`` and ``count`` those of its
+    labels. The losses
+    and ``metrics.cc_dice`` share it.
     """
     if lab.mask is gt:
         return
     if lab.labels.shape != gt.voxels.shape or not lab.spacing.isclose(gt.spacing):
         raise ValueError("component labeling shape or spacing does not match the volume")
-    coords = lab.foreground_coords
-    # as many GT voxels as labeled ones, and each labeled voxel in the GT
-    if gt.foreground_count != coords[0].size or not gt.voxels[coords].all():
+    coords, ids = lab.foreground_coords, lab.foreground_ids
+    # as many GT voxels as labeled ones, each labeled voxel in the GT, and
+    # positive IDs whose counts are the sizes that the losses and cc_dice read
+    if gt.foreground_count != coords[0].size or not gt.voxels[coords].all() or np.any(ids < 0) \
+            or not np.array_equal(np.bincount(ids, minlength=lab.count + 1)[1:], lab.volumes_vox):
         raise ValueError(
-            "component labeling covers other voxels than the ground truth; "
-            "label this ground truth"
+            "component labeling covers other voxels than the ground truth, or "
+            "gives its components other sizes; label this ground truth"
         )

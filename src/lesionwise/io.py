@@ -1,4 +1,10 @@
-"""Volume file IO: a portable raw format and a minimal NIfTI-1 reader.
+"""Volume file IO: a portable raw format and a minimal NIfTI-1 reader and writer.
+
+``read_volume`` is the one reader and ``write_volume`` the one writer; both
+pick the format by the file name: ``.nii`` or ``.nii.gz``, in any case, is
+NIfTI-1, any other name the raw format. ``read_mask`` is ``read_volume``
+cast to a mask, so a float volume holding NaN or Inf is refused by both.
+``_volume_paths`` lists a directory's volume files by the same rule.
 
 Raw format
 ----------
@@ -11,7 +17,7 @@ JSON sidecar ``foo.raw.json``::
 The binary file holds exactly ``nx * ny * nz`` values with x varying fastest
 (linear index ``x + nx * (y + ny * z)``). ``u8`` volumes load as masks
 (nonzero is foreground), ``f32`` volumes load as ``LogitVolume``; the
-writers store a ``BinaryMask`` as u8 and a ``LogitVolume`` as f32, in both
+writer stores a ``BinaryMask`` as u8 and a ``LogitVolume`` as f32, in both
 formats. Write/read round trips are bit-exact.
 
 A float32 volume is kept as float32 in its ``LogitVolume``, whose
@@ -39,9 +45,10 @@ are skipped, and any other trailing byte is an error, as are a bad CRC or
 length in any member and a stream cut short. zlib also rejects a bad header
 CRC and the reserved header flags, which ``gzip.decompress`` ignores.
 
-``write_nifti`` emits a minimal little-endian single-file NIfTI-1 volume and
-exists so phantoms can be exported for external viewers; the raw format is
-the canonical interchange format.
+For a NIfTI name ``write_volume`` emits a minimal little-endian single-file
+NIfTI-1 volume, gzipped with mtime 0 for ``.gz``, so phantoms can be
+exported for external viewers; the raw format is the canonical interchange
+format.
 """
 
 from __future__ import annotations
@@ -96,14 +103,12 @@ def _stored(vol, path: Path) -> tuple[str, int, np.ndarray]:
 
 
 def write_volume(vol, path) -> None:
-    """Write a volume to ``path`` (raw format, or NIfTI if the name ends .nii[.gz]).
-
-    BinaryMask is stored as u8 (0/1), LogitVolume as f32.
+    """Write a volume to ``path``: NIfTI-1 if the name ends .nii or .nii.gz,
+    else the raw format. BinaryMask is stored as u8 (0/1), LogitVolume as f32.
     """
     path = Path(path)
     if _is_nifti_path(path):
-        write_nifti(vol, path)
-        return
+        return _write_nifti(vol, path)
     dtype_name, _, data = _stored(vol, path)
     header = {
         "shape": list(vol.shape.as_tuple()),
@@ -115,21 +120,10 @@ def write_volume(vol, path) -> None:
     path.write_bytes(data.tobytes(order="F"))
 
 
-def read_volume(path):
-    """Read a volume; returns BinaryMask for u8/int inputs, LogitVolume for f32.
-
-    Raw volumes require the JSON sidecar next to the binary file. NIfTI-1
-    volumes (.nii, .nii.gz) are detected by name.
-    """
-    return _read(Path(path), as_mask=False)
-
-
-def read_mask(path) -> BinaryMask:
-    """Read any supported volume as a mask: any nonzero value is foreground.
-
-    A float volume holding NaN or Inf raises ``VolumeFormatError``.
-    """
-    return _read(Path(path), as_mask=True)
+def _volume_paths(directory: Path) -> list[Path]:
+    """The volume files in ``directory``, sorted: NIfTI by name, raw by its sidecar."""
+    return [p for p in sorted(directory.iterdir()) if _is_nifti_path(p)
+            or (not p.name.lower().endswith(".json") and _sidecar_path(p).exists())]
 
 
 # What the parsers raise on a malformed file besides VolumeFormatError:
@@ -137,37 +131,46 @@ def read_mask(path) -> BinaryMask:
 _PARSE_ERRORS = (TypeError, ValueError, OverflowError, EOFError, zlib.error)
 
 
-def _read(path: Path, as_mask: bool):
-    """Read one volume file; every parse failure is a VolumeFormatError.
+def read_volume(path):
+    """Read a volume; returns BinaryMask for u8/int inputs, LogitVolume for f32.
 
-    Its message names ``path``. A file that cannot be opened stays an
+    Raw volumes require the JSON sidecar next to the binary file. NIfTI-1
+    volumes (.nii, .nii.gz) are detected by name. Every parse failure,
+    including NaN or Inf in a float volume, is a ``VolumeFormatError`` whose
+    message names ``path``; a file that cannot be opened stays an
     ``OSError``, whose message names the file.
     """
+    path = Path(path)
     try:
-        if _is_nifti_path(path):
-            return _read_nifti(path, as_mask)
-        return _read_raw(path, as_mask)
+        return (_read_nifti if _is_nifti_path(path) else _read_raw)(path)
     except VolumeFormatError:
         raise
     except _PARSE_ERRORS as exc:
         raise VolumeFormatError(f"{path}: {exc}") from exc
 
 
-def _finish(arr: np.ndarray, spacing: Spacing, as_mask: bool, path: Path):
-    """The volume of ``arr``, an array the reader has just made; a native
-    float32 one becomes the ``LogitVolume``'s voxels without a copy."""
-    if arr.dtype.kind == "f" and not as_mask:
-        return _adopt(LogitVolume, arr, spacing)  # rejects NaN/Inf
-    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-        raise VolumeFormatError(f"{path}: float volume contains NaN or Inf values")
-    return _adopt(BinaryMask, arr, spacing)  # its bool cast makes any nonzero value foreground
+def read_mask(path) -> BinaryMask:
+    """``read_volume`` cast to a mask: any nonzero value is foreground.
+
+    A float volume holding NaN or Inf raises ``VolumeFormatError``, as there.
+    """
+    vol = read_volume(path)
+    return vol if isinstance(vol, BinaryMask) else _adopt(BinaryMask, vol.voxels, vol.spacing)
+
+
+def _finish(arr: np.ndarray, spacing: Spacing):
+    """The volume of ``arr``, an array the reader has just made: a float one
+    is a ``LogitVolume``, which rejects NaN and Inf and keeps a native
+    float32 array without a copy; any other a ``BinaryMask``, whose bool
+    cast makes any nonzero value foreground."""
+    return _adopt(LogitVolume if arr.dtype.kind == "f" else BinaryMask, arr, spacing)
 
 
 # ---------------------------------------------------------------------------
 # raw format
 # ---------------------------------------------------------------------------
 
-def _read_raw(path: Path, as_mask: bool):
+def _read_raw(path: Path):
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise VolumeFormatError(f"missing raw sidecar header: {sidecar}")
@@ -213,7 +216,7 @@ def _read_raw(path: Path, as_mask: bool):
             f"{header['dtype']}, found {size}"
         )
     arr = np.frombuffer(path.read_bytes(), dtype=dtype).reshape((nx, ny, nz), order="F")
-    return _finish(arr, sp, as_mask, path)
+    return _finish(arr, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +274,7 @@ class _Gunzip:
         return True
 
 
-def _read_nifti(path: Path, as_mask: bool):
+def _read_nifti(path: Path):
     with path.open("rb") as fh:
         blob = fh.read(348)  # the header is checked before the data is read
         gz = None
@@ -365,12 +368,11 @@ def _read_nifti(path: Path, as_mask: bool):
     else:
         arr = np.frombuffer(body, dtype=dtype, count=nx * ny * nz, offset=offset - 348)
     arr = arr.reshape((nx, ny, nz), order="F")
-    return _finish(arr, sp, as_mask, path)
+    return _finish(arr, sp)
 
 
-def write_nifti(vol, path) -> None:
+def _write_nifti(vol, path: Path) -> None:
     """Write a minimal single-file little-endian NIfTI-1 volume."""
-    path = Path(path)
     _, datatype, data = _stored(vol, path)
 
     nx, ny, nz = vol.shape.as_tuple()

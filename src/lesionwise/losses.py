@@ -71,10 +71,11 @@ partition is a ``ValueError`` too. Every instance-loss call checks and
 remembers nothing, so a mismatch raises on every call. The labeling check
 (``components._check_labeling``) is O(1) for a labeling made from this mask
 object by ``label_components`` and O(GT) for any other: the GT voxel
-count, cached on the mask, against the labeled count, and gathers at the
-cached coordinates; the first such call on a mask pays one lattice pass to
-count it. The partition check is O(1) when ``part.lab`` is ``lab`` and
-O(lattice) when it is an equal labeling at the same spacing. A partition
+count, cached on the mask, against the labeled count, gathers at the
+cached coordinates, and a count of the cached IDs against the component
+sizes; the first such call on a mask pays one lattice pass to count it.
+The partition check is O(1) when ``part.lab`` is ``lab`` and O(lattice)
+when it is an equal labeling at the same spacing. A partition
 built by hand (``lab=None``) is only checked, in O(GT), to put each
 component in its own region; one with other borders that passes gives
 other values, silently.
@@ -114,6 +115,12 @@ class LossKind(str, enum.Enum):
     BLOB_DICECE = "blob-dicece"
 
 
+def _check_weights(*vals: float) -> None:
+    """The one rule for every loss weight: finite and non-negative."""
+    if not all(math.isfinite(w) and w >= 0 for w in vals):
+        raise ValueError(f"loss weights must be finite and non-negative, got {vals}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Weights of the global/instance terms and of Dice vs CE inside DiceCE."""
@@ -125,8 +132,7 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.w_global, self.w_instance, self.w_dice, self.w_ce)
-        if not all(math.isfinite(w) and w >= 0 for w in vals):
-            raise ValueError(f"loss weights must be finite and non-negative, got {vals}")
+        _check_weights(*vals)
         if all(w == 0 for w in vals):
             raise ValueError("at least one loss weight must be positive")
 
@@ -254,7 +260,10 @@ class _Terms:
 
     def values(self, w_dice: float, w_ce: float) -> np.ndarray:
         """``w_dice * dice_k + w_ce * ce_k`` for every term k; inf or NaN
-        where the weights overflow, which ``LossValue`` then refuses."""
+        where the weights overflow, which ``LossValue`` then refuses. Every
+        loss takes its value here, so each refuses the weights that
+        ``LossWeights`` refuses."""
+        _check_weights(w_dice, w_ce)
         with np.errstate(over="ignore", invalid="ignore"):
             return w_dice * (1.0 - 2.0 * self.inter / self.denom) + w_ce * (self.ce_sum / self.size)
 
@@ -284,7 +293,7 @@ class _Terms:
             return tabs
 
 
-def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
+def _reduce(vp: _Workspace, gt: BinaryMask, lab: ComponentLabeling | None = None,
             part: VoronoiPartition | None = None) -> _Terms:
     """Sum the DiceCE terms of a voxel pass over voxel groups.
 
@@ -297,14 +306,16 @@ def _reduce(vp: _Workspace, lab: ComponentLabeling | None = None,
 
     Off the GT p * g is exactly 0 and g is 0/1, so ``inter`` is summed over
     the GT voxels only, in the same order and to the same bits as over the
-    whole group, and the sums of g are the component sizes. A GT voxel's
-    group is its own component, as a component owns its voxels' regions.
+    whole group, and the sums of g are counts cached on the GT: the
+    component sizes, or ``gt.foreground_count`` for the one global term. A
+    GT voxel's group is its own component, as a component owns its voxels'
+    regions.
     """
     # The sums are whole-lattice calls, as their bits depend on the order of
     # summation: np.sum's pairwise and bincount's sequential.
     if lab is None:
         inter, psum, ce_sum = (np.sum(x) for x in (vp.buf, vp.p, vp.ce))  # buf: p * g
-        gsum = float(np.count_nonzero(vp.gt))
+        gsum = float(gt.foreground_count)
         return _Terms(None, False, np.array([inter]), np.array([psum + gsum]),
                       np.array([ce_sum]), np.array([float(vp.p.size)]))
     n, shared = lab.count, part is None
@@ -400,7 +411,7 @@ def dicece_loss(
     Leaves this thread's loss workspace resident (see the module docstring).
     """
     vp = _as_pass(logits, gt)
-    return _mean_of_terms(logits, vp, _reduce(vp), w_dice, w_ce)
+    return _mean_of_terms(logits, vp, _reduce(vp, gt), w_dice, w_ce)
 
 
 def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
@@ -440,7 +451,7 @@ def _instance_terms(logits, gt, lab, part=None, *, cc=False):
     if cc and not _partitions(part, lab):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
-    return vp, _reduce(vp, lab, part)
+    return vp, _reduce(vp, gt, lab, part)
 
 
 def _each_term(vp, t, w_dice, w_ce) -> list[LossValue]:

@@ -475,6 +475,26 @@ def test_stats_command(tmp_path, capsys):
     assert values["n_components"] == "3"
 
 
+def test_a_non_finite_float_mask_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "masks").mkdir()
+    bad = tmp_path / "masks" / "nan.raw"
+    write_volume(LogitVolume(np.zeros((2, 2, 2)), Spacing(1, 1, 1)), bad)
+    bad.write_bytes(np.array([0, 0, np.nan, 0, 0, 0, 0, 0], dtype="<f4").tobytes())
+    assert run_cli(["stats", "--masks", str(tmp_path / "masks")]) == EXIT_IO
+    err = _one_line_error(capsys, "stats")
+    assert str(bad) in err and "NaN or Inf" in err
+
+    write_volume(mk_mask(np.ones((2, 2, 2))), tmp_path / "ok.raw")
+    manifest = tmp_path / "cases.csv"
+    _write_manifest(manifest, [("masks/nan.raw", "ok.raw"), ("ok.raw", "ok.raw")])
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--manifest", str(manifest), "--out", str(out)]) == EXIT_PARTIAL
+    cases = json.loads((out / "report.json").read_text())["cases"]
+    assert [c["status"] for c in cases] == ["error", "ok"]
+    assert cases[0]["error"].startswith("VolumeFormatError: ")
+    assert "nan.raw" in cases[0]["error"] and "NaN or Inf" in cases[0]["error"]
+
+
 def test_stats_on_empty_directory(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -27,7 +27,6 @@ from lesionwise import (
     LogitVolume,
     Spacing,
     voronoi_partition_bruteforce,
-    write_nifti,
     write_volume,
 )
 from lesionwise.cli import EXIT_OK, main
@@ -71,7 +70,7 @@ def _write_case(d: Path, i: int, case) -> tuple[str, str]:
     gt_name, pred_name = f"gt{i}.raw", f"pred{i}.{fmt}"
     write_volume(mk_mask(gt, sp), d / gt_name)
     if fmt == "f32.nii.gz":
-        write_nifti(LogitVolume(logits, sp), d / f"pred{i}.nii")
+        write_volume(LogitVolume(logits, sp), d / f"pred{i}.nii")
         payload = (d / f"pred{i}.nii").read_bytes()
         k = min(max(1, int(cut * len(payload))), len(payload) - 1)
         (d / pred_name).write_bytes(gzip.compress(payload[:k], mtime=0)

@@ -16,7 +16,6 @@ from lesionwise import (
     VolumeFormatError,
     read_mask,
     read_volume,
-    write_nifti,
     write_volume,
 )
 from lesionwise.cli import EXIT_IO, main
@@ -207,33 +206,45 @@ def test_read_mask_treats_any_nonzero_as_foreground(tmp_path):
     assert mask.foreground_count == 2
 
     # Every stored dtype and byte order: the mask is data != 0, so -0.0 is
-    # background and a subnormal, 255 and a negative int16 are foreground.
+    # background and a subnormal, 255 and a negative int16 are foreground;
+    # and it is read_volume's volume cast, bit for bit and at its spacing.
     sub = np.finfo(np.float32).smallest_subnormal
     floats = [0.0, -0.0, sub, -sub, 1.0, -0.0, 0.0, -3.5]
+    ints = [255, 0, 0, 1, 0, 0, 1, 255]
     stored = {
         "u8.raw": np.array([0, 1, 255, 0, 1, 0, 255, 0], dtype="<u1"),
         "f32.raw": np.array(floats, dtype="<f4"),
-        "u8.nii": np.array([255, 0, 0, 1, 0, 0, 1, 255], dtype="u1"),
+        "u8.nii": np.array(ints, dtype="u1"),
         "i2.nii": np.array([0, -1, -32768, 0, 32767, 0, 256, 0], dtype="<i2"),
         "i2_be.nii": np.array([0, -1, -32768, 0, 32767, 0, 256, 1], dtype=">i2"),
         "f32_be.nii": np.array(floats, dtype=">f4"),
+        "u8.nii.gz": np.array(ints[::-1], dtype="u1"),
+        "f32.nii.gz": np.array(floats[::-1], dtype="<f4"),
     }
-    codes = {"u1": 2, "i2": 4, "f4": 16}
+    spacing = (0.5, 1.25, 3.0)
     for name, data in stored.items():
         path = tmp_path / name
-        if name.endswith(".raw"):
-            path.with_name(name + ".json").write_text(json.dumps({
-                "shape": [2, 2, 2], "spacing": [1, 1, 1],
-                "dtype": "u8" if data.dtype.kind == "u" else "f32", "order": "x-fastest",
-            }))
-            path.write_bytes(data.tobytes())
-        else:
-            endian = ">" if data.dtype.byteorder == ">" else "<"
-            path.write_bytes(_nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0),
-                                          codes[data.dtype.str[1:]], data.tobytes(),
-                                          endian=endian))
-        mask = read_mask(path)
+        _write_stored(path, data, (2, 2, 2), spacing)
+        mask, vol = read_mask(path), read_volume(path)
         assert np.array_equal(mask.voxels, data.reshape((2, 2, 2), order="F") != 0), name
+        assert mask.voxels.tobytes(order="F") == (vol.voxels != 0).tobytes(order="F"), name
+        assert mask.spacing == vol.spacing == Spacing(*spacing), name
+
+
+def _write_stored(path, data, shape, spacing):
+    """Write the x-fastest values ``data`` as they are stored: a raw file
+    for a .raw name, else NIfTI in ``data``'s byte order, gzipped for .gz."""
+    if path.name.endswith(".raw"):
+        path.with_name(path.name + ".json").write_text(json.dumps({
+            "shape": list(shape), "spacing": list(spacing),
+            "dtype": "u8" if data.dtype.kind == "u" else "f32", "order": "x-fastest",
+        }))
+        path.write_bytes(data.tobytes())
+        return
+    endian = ">" if data.dtype.byteorder == ">" else "<"
+    code = {"u1": 2, "i2": 4, "f4": 16}[data.dtype.str[1:]]
+    blob = _nifti_bytes(shape, spacing, code, data.tobytes(), endian=endian)
+    path.write_bytes(gzip.compress(blob) if path.name.endswith(".gz") else blob)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -245,8 +256,10 @@ def test_read_mask_rejects_non_finite_raw_f32(tmp_path, bad):
     path.with_name("nan.raw.json").write_text(json.dumps({
         "shape": [2, 2, 2], "spacing": [1, 1, 1], "dtype": "f32", "order": "x-fastest"
     }))
-    with pytest.raises(VolumeFormatError, match="NaN or Inf"):
-        read_mask(path)
+    for read in (read_volume, read_mask):
+        with pytest.raises(VolumeFormatError, match="NaN or Inf") as err:
+            read(path)
+        assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -255,8 +268,24 @@ def test_read_mask_rejects_non_finite_nifti_f32(tmp_path, bad):
     data[5] = bad
     path = tmp_path / "nan.nii"
     path.write_bytes(_nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0), 16, data.tobytes()))
-    with pytest.raises(VolumeFormatError, match="NaN or Inf"):
-        read_mask(path)
+    for read in (read_volume, read_mask):
+        with pytest.raises(VolumeFormatError, match="NaN or Inf") as err:
+            read(path)
+        assert str(path) in str(err.value)
+
+
+def test_volume_paths_are_nifti_by_name_and_raw_by_sidecar(tmp_path):
+    mask = mk_mask(np.ones((2, 2, 2)))
+    for name in ("b.raw", "a.nii", "C.NII.GZ", "d.Nii", "e.bin"):
+        write_volume(mask, tmp_path / name)
+    (tmp_path / "stray.json").write_text("{}")
+    (tmp_path / "f.json").write_text("{}")  # a sidecar's name, yet not a volume
+    (tmp_path / "f.json.json").write_text("{}")
+    (tmp_path / "orphan.raw").write_bytes(bytes(8))  # no sidecar
+    (tmp_path / "notes.txt").write_text("x")
+    paths = lesionwise.io._volume_paths(tmp_path)
+    assert [p.name for p in paths] == ["C.NII.GZ", "a.nii", "b.raw", "d.Nii", "e.bin"]
+    assert all(read_mask(p).foreground_count == 8 for p in paths)
 
 
 def test_nifti_hand_crafted_header(tmp_path):
@@ -393,7 +422,7 @@ def test_write_nifti_round_trip_and_header_bytes(tmp_path):
     rng = np.random.default_rng(11)
     mask = mk_mask(rng.random((3, 4, 5)) > 0.4, Spacing(0.5, 1.0, 2.0))
     path = tmp_path / "w.nii"
-    write_nifti(mask, path)
+    write_volume(mask, path)
 
     blob = path.read_bytes()
     assert struct.unpack_from("<i", blob, 0)[0] == 348

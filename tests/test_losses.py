@@ -22,6 +22,7 @@ from lesionwise import (
     blob_instance_loss,
     blob_instance_terms,
     build_phantom,
+    cc_dice,
     cc_instance_loss,
     cc_instance_terms,
     combined_loss,
@@ -910,6 +911,57 @@ def test_labeling_or_partition_of_other_voxels_rejected():
     part2 = voronoi_partition(lab2)
     want = _digest(combined_loss("cc-dicece", logits, gt, lab=lab, part=voronoi_partition(lab)))
     assert _digest(combined_loss("cc-dicece", logits, gt, lab=lab2, part=part2)) == want
+
+
+def test_labeling_with_other_sizes_rejected():
+    # the right voxels with doubled sizes once gave cc_dice 0.6667 for pred = gt
+    gt, lab = build_phantom(random_instances_spec(Shape(16, 12, 10), UNIT, 3, seed=5))
+    logits = mk_logits(np.random.default_rng(5).normal(0.0, 2.0, size=(16, 12, 10)))
+    part = voronoi_partition(lab)
+    doubled = ComponentLabeling(lab.labels, lab.count, 2 * lab.volumes_vox,
+                                2 * lab.volumes_mm3, lab.spacing)
+    short = ComponentLabeling(lab.labels, lab.count - 1, lab.volumes_vox[:-1],
+                              lab.volumes_mm3[:-1], lab.spacing)
+    negated = ComponentLabeling(-lab.labels, lab.count, lab.volumes_vox,
+                                lab.volumes_mm3, lab.spacing)
+    for wrong in (doubled, short, negated):
+        calls = [
+            lambda: cc_dice(gt, gt, lab=wrong),
+            lambda: cc_instance_loss(logits, gt, wrong, part),
+            lambda: blob_instance_loss(logits, gt, wrong),
+            lambda: combined_loss("blob-dicece", logits, gt, lab=wrong),
+            lambda: combined_loss("cc-dicece", logits, gt, lab=wrong),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^component labeling .* other sizes"):
+                call()
+    same = ComponentLabeling(lab.labels, lab.count, lab.volumes_vox.copy(),
+                             lab.volumes_mm3.copy(), lab.spacing)
+    assert cc_dice(gt, gt, lab=same) == 1.0
+    assert _digest(blob_instance_loss(logits, gt, same)) == \
+        _digest(blob_instance_loss(logits, gt, lab))
+
+
+def test_public_losses_refuse_the_weights_loss_weights_refuses():
+    # w_dice=-1 once gave dicece a value and cc_instance_terms negative terms
+    gt, lab, logits = _random_case(77, n_components=2)
+    part = voronoi_partition(lab)
+    losses_of = [
+        lambda **w: dicece_loss(logits, gt, **w),
+        lambda **w: cc_instance_loss(logits, gt, lab, part, **w),
+        lambda **w: cc_instance_terms(logits, gt, lab, part, **w),
+        lambda **w: blob_instance_loss(logits, gt, lab, **w),
+        lambda **w: blob_instance_terms(logits, gt, lab, **w),
+    ]
+    for loss in losses_of:
+        for key in ("w_dice", "w_ce"):
+            for bad in (-1.0, -1e-300, math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    LossWeights(**{key: bad})
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    loss(**{key: bad})
+            loss(**{key: 0.0})  # zero and -0.0 pass, as in LossWeights
+            loss(**{key: -0.0})
 
 
 def test_non_finite_loss_raises():

@@ -76,9 +76,14 @@ cached coordinates, and a count of the cached IDs against the component
 sizes; the first such call on a mask pays one lattice pass to count it.
 The partition check is O(1) when ``part.lab`` is ``lab`` and O(lattice)
 when it is an equal labeling at the same spacing. A partition
-built by hand (``lab=None``) is only checked, in O(GT), to put each
-component in its own region; one with other borders that passes gives
-other values, silently.
+built by hand (``lab=None``) covers the lattice with IDs 1..count, as
+``VoronoiPartition`` checks at construction, and is then only checked, in
+O(GT), to put each component in its own region; one with other borders that
+passes gives other values, silently. ``combined_loss`` labels the GT when
+given no labeling and checks the labeling once for both instance kinds; on
+a GT with no components it enters no instance loss and builds no partition.
+Every loss takes its logits as a ``LogitVolume`` and raises ``TypeError``
+for anything else, such as a ``BinaryMask``.
 
 Logits are clamped to [-LOGIT_CLAMP, LOGIT_CLAMP] before the sigmoid; at the
 bound this changes probabilities by less than 1e-17 and keeps exp() finite.
@@ -86,7 +91,6 @@ bound this changes probabilities by less than 1e-17 and keeps exp() finite.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import math
@@ -98,7 +102,7 @@ import numpy as np
 
 from . import _pool
 from .components import ComponentLabeling, _check_labeling, label_components
-from .volumes import BinaryMask, LogitVolume, require_same_grid, sigmoid_parts
+from .volumes import BinaryMask, LogitVolume, require_logits, require_same_grid, sigmoid_parts
 from .voronoi import EmptyGroundTruthError, VoronoiPartition, _check_metric, voronoi_partition
 
 LOGIT_CLAMP = 40.0
@@ -223,6 +227,7 @@ def _workspace(logits: np.ndarray) -> _Workspace:
 
 
 def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _Workspace:
+    require_logits(logits)
     require_same_grid(logits, gt)
     ws = _workspace(logits.voxels)
 
@@ -440,8 +445,6 @@ def _instance_terms(logits, gt, lab, part=None, *, cc=False):
     calls, that ``lab`` labels exactly ``gt``'s voxels
     (``_check_labeling``) and, for CC, that ``part`` is given and is a
     partition of ``lab`` (``_partitions``).
-    The empty-GT refusal comes first, so ``combined_loss`` on an empty GT
-    needs no partition.
     """
     _check_labeling(lab, gt)
     if lab.count < 1:
@@ -543,9 +546,12 @@ def combined_loss(
     ``lab`` and ``part`` may be supplied to reuse precomputed structures;
     they must derive from ``gt`` and ``metric``. Every kind refuses a
     ``part`` of another ``metric``; beyond that ``dicece`` reads and checks
-    neither, and the instance kinds make the checks of the module docstring
-    (``blob-dicece`` on ``lab`` only). With no ground-truth components there
-    is no instance term and the value is the global term.
+    neither. An instance kind labels ``gt`` when given no ``lab`` and checks
+    the labeling before anything is counted or built from it. With no
+    ground-truth components there is no instance term: the value is the
+    global term, and no instance loss is entered and no partition built or
+    checked. Else ``cc-dicece`` builds the partition when given none, and
+    the instance loss makes the checks of the module docstring.
 
     Leaves this thread's loss workspace resident (see the module docstring).
     """
@@ -562,15 +568,11 @@ def combined_loss(
     scalar = weights.w_global * g.scalar
     parts = [(g.terms, g.term_weights, weights.w_global)]
     if kind is not LossKind.DICECE:
-        if lab is None:
-            lab = label_components(gt)
-        elif kind is LossKind.CC_DICECE and part is None:
-            _check_labeling(lab, gt)  # before a partition is built from it
-        # the instance loss checks lab against gt before it counts components
-        with contextlib.suppress(EmptyGroundTruthError):  # no instance term
+        lab = label_components(gt) if lab is None else lab
+        _check_labeling(lab, gt)  # before anything is counted or built from it
+        if lab.count:  # else there is no instance term
             if kind is LossKind.CC_DICECE:
-                if part is None and lab.count:
-                    part = voronoi_partition(lab, metric)
+                part = voronoi_partition(lab, metric) if part is None else part
                 inst = cc_instance_loss(vp, gt, lab, part, weights.w_dice, weights.w_ce)
             else:
                 inst = blob_instance_loss(vp, gt, lab, weights.w_dice, weights.w_ce)

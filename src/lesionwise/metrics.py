@@ -206,7 +206,9 @@ def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> M
     return a different maximum matching and so change the reports.
 
     The overlap edges are the distinct keys ``gt * (n_pred + 1) + pred`` over
-    the voxels in both masks, which sort GT-major with preds ascending. The
+    the voxels in both masks, which sort GT-major with preds ascending. An ID
+    in the overlap above its labeling's ``count`` (a labeling built by hand)
+    raises ``ValueError``; the check reads only the overlap. The
     matcher's DFS runs on an explicit stack, so an augmenting path may be
     as long as the components allow.
     """
@@ -214,8 +216,11 @@ def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> M
         raise ValueError("labelings cover different grids")
 
     both = (pred_lab.labels > 0) & (gt_lab.labels > 0)
+    g_ids, p_ids = gt_lab.labels[both], pred_lab.labels[both]
+    if g_ids.size and (g_ids.max() > gt_lab.count or p_ids.max() > pred_lab.count):
+        raise ValueError("labeling holds a component ID above its count")
     stride = pred_lab.count + 1
-    keys = np.unique(gt_lab.labels[both] * np.int64(stride) + pred_lab.labels[both])
+    keys = np.unique(g_ids * np.int64(stride) + p_ids)
     adj: list[list[int]] = [[] for _ in range(gt_lab.count)]
     for g, p in (divmod(k, stride) for k in keys.tolist()):
         adj[g - 1].append(p - 1)

@@ -204,6 +204,13 @@ def require_masks(*volumes) -> None:
             raise TypeError(f"expected a bool mask, got {type(v).__name__}; binarize() logits first")
 
 
+def require_logits(v) -> None:
+    """Raise ``TypeError`` unless ``v`` is a ``LogitVolume``: a mask read as
+    0/1 logits would give another mask or loss, silently."""
+    if not isinstance(v, LogitVolume):
+        raise TypeError(f"expected a LogitVolume, got {type(v).__name__}")
+
+
 def sigmoid_parts(
     logits: np.ndarray,
     out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -287,7 +294,8 @@ def _band(threshold: float, dtype: np.dtype):
 def binarize(logits: LogitVolume, threshold: float = 0.5) -> BinaryMask:
     """Threshold a logit volume; a voxel is foreground iff sigmoid(l) >= threshold.
 
-    The threshold must lie strictly inside (0, 1). The mask is bit-for-bit
+    Any input but a ``LogitVolume`` raises ``TypeError``; the threshold must
+    lie strictly inside (0, 1). The mask is bit-for-bit
     ``sigmoid(logits.voxels) >= threshold`` without a full-lattice sigmoid:
     compares in the logits' dtype make logits above a bound ``hi``
     foreground and below ``lo`` background, and ``sigmoid`` runs only on the
@@ -303,6 +311,7 @@ def binarize(logits: LogitVolume, threshold: float = 0.5) -> BinaryMask:
     t = 1e-310) the band is the whole lattice, and for t within about
     4 delta of 1 it is every voxel above ``lo``.
     """
+    require_logits(logits)
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold!r}")
     voxels = logits.voxels

@@ -142,6 +142,9 @@ class VoronoiPartition:
     ``region_of`` holds the winning component ID (1..count) for every voxel.
     Regions are pairwise disjoint and cover the lattice by construction.
     ``lab`` is the labeling partitioned; ``None`` for one built by hand.
+    A partition built by hand must cover the lattice too: ``region_of``
+    must hold integer IDs in 1..count, else ``ValueError``, checked by one
+    min and one max over it.
     """
 
     region_of: np.ndarray
@@ -150,7 +153,10 @@ class VoronoiPartition:
     lab: ComponentLabeling | None = None
 
     def __post_init__(self):
-        self.region_of.setflags(write=False)
+        r = self.region_of
+        if r.dtype.kind not in "iu" or r.min() < 1 or r.max() > self.count:
+            raise ValueError(f"Voronoi partition must hold region IDs 1..{self.count} at every voxel")
+        r.setflags(write=False)
 
     def region_sizes(self) -> np.ndarray:
         """Voxels in each region, counted once per partition (read-only)."""

@@ -21,6 +21,7 @@ from lesionwise import (
     Spacing,
     blob_instance_loss,
     blob_instance_terms,
+    binarize,
     build_phantom,
     cc_dice,
     cc_instance_loss,
@@ -491,6 +492,17 @@ def test_benchmark_layer_calls_see_each_loss_once(monkeypatch, benchmark_tracer)
         if INSTANCE_FN[kind]:
             want[INSTANCE_FN[kind]] = 1
         assert calls == want, kind
+
+    # An empty GT has no instance term: no instance loss is entered and no
+    # partition is built, whatever labeling or partition is passed.
+    empty = mk_mask(np.zeros(gt.voxels.shape, dtype=bool))
+    _count_calls(monkeypatch, losses, "voronoi_partition", calls)
+    for kind in KINDS:
+        for lab_in, part_in in ((None, None), (label_components(empty), None),
+                                (None, part), (label_components(empty), part)):
+            calls.clear()
+            combined_loss(kind, logits, empty, lab=lab_in, part=part_in)
+            assert calls == Counter({"dicece_loss": 1}), (kind, lab_in, part_in)
 
 
 EDGE_LATTICES = {
@@ -1148,6 +1160,46 @@ def test_partition_of_an_equal_labeling_at_another_spacing_rejected():
     # this once gave 3.588830 without error
     with pytest.raises(ValueError, match="Voronoi partition does not match"):
         combined_loss("cc-dicece", logits, gt, metric="physical", lab=lab, part=part)
+
+
+def test_partition_that_does_not_cover_the_lattice_rejected():
+    gt, lab = build_phantom(random_instances_spec(Shape(12, 10, 8), UNIT, 3, seed=5))
+    logits = mk_logits(np.random.default_rng(1).standard_normal(gt.voxels.shape))
+    part = voronoi_partition(lab)
+    assert cc_instance_loss(logits, gt, lab, part).scalar == pytest.approx(1.740121, abs=5e-7)
+    # Regions cleared off the GT once gave 1.137770 without error; an ID
+    # above the count raised numpy's broadcast error.
+    for fill in (0, lab.count + 1):
+        with pytest.raises(ValueError, match=r"region IDs 1\.\.3 at every voxel"):
+            VoronoiPartition(np.where(gt.voxels, part.region_of, fill), part.count, part.metric)
+    with pytest.raises(ValueError, match="region IDs"):
+        VoronoiPartition(part.region_of.astype(np.float64), part.count, part.metric)
+    by_hand = VoronoiPartition(part.region_of.copy(), part.count, part.metric)
+    assert cc_instance_loss(logits, gt, lab, by_hand).scalar == \
+        cc_instance_loss(logits, gt, lab, part).scalar
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, lab, part: binarize(m, 0.2),
+    lambda m, lab, part: dicece_loss(m, m),
+    lambda m, lab, part: soft_dice_loss(m, m),
+    lambda m, lab, part: cc_instance_loss(m, m, lab, part),
+    lambda m, lab, part: cc_instance_terms(m, m, lab, part),
+    lambda m, lab, part: blob_instance_loss(m, m, lab),
+    lambda m, lab, part: blob_instance_terms(m, m, lab),
+    lambda m, lab, part: combined_loss("dicece", m, m),
+    lambda m, lab, part: combined_loss("cc-dicece", m, m, lab=lab, part=part),
+    lambda m, lab, part: combined_loss("blob-dicece", m, m),
+    lambda m, lab, part: gradient_map("dicece", m, m),
+], ids=["binarize", "dicece", "soft-dice", "cc", "cc-terms", "blob", "blob-terms", "combined-dicece",
+        "combined-cc", "combined-blob", "gradient-map"])
+def test_a_mask_is_refused_where_logits_belong(call):
+    # Read as logits, a mask once gave 1.633614 for combined_loss("dicece",
+    # gt, gt), and binarize(mask, 0.2) gave the mask, where 0/1 logits are all
+    # foreground.
+    gt, lab = build_phantom(random_instances_spec(Shape(12, 10, 8), UNIT, 3, seed=5))
+    with pytest.raises(TypeError, match="expected a LogitVolume, got BinaryMask"):
+        call(gt, lab, voronoi_partition(lab))
 
 
 def test_combined_loss_rejects_an_empty_labeling_of_a_nonempty_gt():

@@ -165,6 +165,18 @@ def test_match_rejects_labelings_of_different_grids():
         match_instances(pred, gt)
 
 
+def test_match_refuses_a_labeling_with_ids_above_its_count():
+    # A copy of a two-lesion labeling with count=1 once raised a bare IndexError.
+    arr = np.zeros((6, 1, 1), dtype=bool)
+    arr[0:2] = arr[4:6] = True
+    lab = label_components(mk_mask(arr))
+    bad = ComponentLabeling(lab.labels, 1, lab.volumes_vox, lab.volumes_mm3, lab.spacing)
+    assert match_instances(lab, lab).pairs == ((1, 1), (2, 2))
+    for pred_lab, gt_lab in ((bad, lab), (lab, bad)):
+        with pytest.raises(ValueError, match="component ID above its count"):
+            match_instances(pred_lab, gt_lab)
+
+
 def test_matching_is_maximum_on_random_graphs():
     rng = np.random.default_rng(17)
     for _ in range(60):

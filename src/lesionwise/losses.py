@@ -102,7 +102,8 @@ import numpy as np
 
 from . import _pool
 from .components import ComponentLabeling, _check_labeling, label_components
-from .volumes import BinaryMask, LogitVolume, require_logits, require_same_grid, sigmoid_parts
+from .volumes import (BinaryMask, LogitVolume, require_logits, require_masks, require_same_grid,
+                      sigmoid_parts)
 from .voronoi import EmptyGroundTruthError, VoronoiPartition, _check_metric, voronoi_partition
 
 LOGIT_CLAMP = 40.0
@@ -228,6 +229,7 @@ def _workspace(logits: np.ndarray) -> _Workspace:
 
 def _voxel_pass(logits: LogitVolume, gt: BinaryMask) -> _Workspace:
     require_logits(logits)
+    require_masks(gt)
     require_same_grid(logits, gt)
     ws = _workspace(logits.voxels)
 

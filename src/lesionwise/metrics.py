@@ -15,8 +15,7 @@ O(GT) for any other, and it requires the GT's grid (shape and spacing).
 ``case_metrics`` passes ``cc_dice`` the GT labeling it has just built, so
 evaluation takes the O(1) branch. The lookup's cost grows with the
 predicted voxels outside the ground truth, and its memory with the
-predicted voxels plus the components' boundary voxels, and a few transient
-bool lattices.
+predicted voxels plus the components' boundary voxels.
 
 Matching reports only its pairs: the unmatched GT and predicted IDs are the
 complement of the paired IDs, and the counts follow from the pair count.
@@ -206,17 +205,21 @@ def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> M
     return a different maximum matching and so change the reports.
 
     The overlap edges are the distinct keys ``gt * (n_pred + 1) + pred`` over
-    the voxels in both masks, which sort GT-major with preds ascending. An ID
-    in the overlap above its labeling's ``count`` (a labeling built by hand)
-    raises ``ValueError``; the check reads only the overlap. The
-    matcher's DFS runs on an explicit stack, so an augmenting path may be
-    as long as the components allow.
+    the voxels in both masks, which sort GT-major with preds ascending. They
+    are read at the GT labeling's cached C-order foreground indices (seeded
+    by ``label_components``; a labeling built by hand scans its labels once),
+    so matching makes no lattice pass. An ID in the overlap above its
+    labeling's ``count`` (a labeling built by hand) raises ``ValueError``;
+    the check reads only the overlap. The matcher's DFS runs on an explicit
+    stack, so an augmenting path may be as long as the components allow.
     """
     if pred_lab.labels.shape != gt_lab.labels.shape:
         raise ValueError("labelings cover different grids")
 
-    both = (pred_lab.labels > 0) & (gt_lab.labels > 0)
-    g_ids, p_ids = gt_lab.labels[both], pred_lab.labels[both]
+    flat = gt_lab._foreground_flat  # overlap voxels are GT voxels, in C order
+    p_ids = pred_lab.labels.ravel()[flat]
+    both = p_ids > 0
+    g_ids, p_ids = gt_lab.labels.ravel()[flat[both]], p_ids[both]
     if g_ids.size and (g_ids.max() > gt_lab.count or p_ids.max() > pred_lab.count):
         raise ValueError("labeling holds a component ID above its count")
     stride = pred_lab.count + 1

@@ -228,24 +228,39 @@ def test_eval_report_bytes_are_pinned(tmp_path, monkeypatch, distance, threads):
     assert digests == REPORT_DIGESTS[distance]
 
 
-# A fresh interpreter that has not imported scipy.ndimage, running the CLI.
+# A fresh interpreter that has not imported scipy.ndimage, running the CLI,
+# then running `after` before it exits with the CLI's code.
 _COLD_CLI = ("import sys\n"
              "from lesionwise import cli\n"
              "assert 'scipy.ndimage' not in sys.modules\n"
-             "sys.exit(cli.main(sys.argv[1:]))\n")
+             "code = cli.main(sys.argv[1:])\n"
+             "{after}"
+             "sys.exit(code)\n")
 
 
-def _run_cold(cwd, argv, threads="1"):
+def _run_cold(cwd, argv, threads="1", after=""):
     src = str(Path(lesionwise.__file__).parents[1])
     env = dict(os.environ, LESIONWISE_THREADS=threads, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", _COLD_CLI, *argv], cwd=cwd,
+    return subprocess.run([sys.executable, "-c", _COLD_CLI.format(after=after), *argv], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+@pytest.mark.parametrize("distance", ["voxel", "physical"])
+def test_cold_eval_does_not_import_scipy_ndimage(tmp_path, distance):
+    # Labeling, matching and the Voronoi lookup need no scipy.ndimage (about
+    # 0.4 s to import in a fresh interpreter); only the dense partition does.
+    _write_pinned_cases(tmp_path)
+    proc = _run_cold(tmp_path, ["eval", "--manifest", "cases.csv", "--out", "out",
+                                "--distance", distance], "2",
+                     after="assert 'scipy.ndimage' not in sys.modules, 'eval imported it'\n")
+    assert proc.returncode == EXIT_PARTIAL, proc.stderr
+
+
 def test_cold_eval_on_two_workers_writes_the_pinned_bytes(tmp_path):
-    # Both workers label their first case at once, so they import scipy.ndimage
-    # concurrently; the reports must equal a 1-worker run's and the pinned ones.
+    # Both workers reach their first Voronoi lookup at once, so they import
+    # scipy.spatial (in voronoi._nearest_at) concurrently; the reports must
+    # equal a 1-worker run's and the pinned ones.
     _write_pinned_cases(tmp_path)
     reports = {}
     for threads in ("2", "1"):

@@ -1202,6 +1202,18 @@ def test_a_mask_is_refused_where_logits_belong(call):
         call(gt, lab, voronoi_partition(lab))
 
 
+@pytest.mark.parametrize("call", [
+    lambda lv: dicece_loss(lv, lv),
+    lambda lv: combined_loss("dicece", lv, lv),
+    lambda lv: combined_loss("cc-dicece", lv, lv),
+    lambda lv: combined_loss("blob-dicece", lv, lv),
+], ids=["dicece", "combined-dicece", "combined-cc", "combined-blob"])
+def test_logits_are_refused_where_the_ground_truth_belongs(call):
+    _, _, logits = _random_case(83, n_components=2)
+    with pytest.raises(TypeError, match="expected a bool mask, got LogitVolume"):
+        call(logits)
+
+
 def test_combined_loss_rejects_an_empty_labeling_of_a_nonempty_gt():
     gt, _, logits = _random_case(81, n_components=2)
     empty = label_components(mk_mask(np.zeros(gt.voxels.shape, dtype=bool)))

@@ -240,8 +240,8 @@ def test_boundary_sites_are_the_literal_boundary(mask, fortran):
 def test_importing_the_package_does_not_import_scipy_spatial():
     # The lookup imports cKDTree lazily; importing scipy.spatial is slow.
     # scipy.ndimage (about 0.4 s in a fresh interpreter) is imported inside
-    # the labeler and the partition, and scipy.sparse (about 80 ms and
-    # 10 MB) by no module.
+    # the dense partition only, and scipy.sparse (about 80 ms and 10 MB) by
+    # no module.
     src = str(Path(lesionwise.__file__).parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lesionwise; "
             "print([m for m in sys.argv[2:] if m in sys.modules])")

@@ -7,14 +7,14 @@ groups them into maximal x-runs: a run starts wherever an index does not
 follow its predecessor or lies at x = 0, so runs never cross a row end. Two
 runs are 26-adjacent when their rows are 26-neighbours ((dy, dz) in
 {-1, 0, 1}^2, not both 0) and their x-extents, each widened by one voxel,
-overlap. For each of the 8 neighbouring rows one table lookup finds, for
-every run, the first run of that row whose extent reaches the run's widened
-start; it touches when it starts no later than the run's widened end. Every
+overlap. The runs' last voxels ascend in scan order, so for each of the 8
+neighbouring rows one sorted search of them finds, for every run, the first
+run ending at or after the run's widened start shifted into that row; it
+touches when it starts no later than the widened end, shifted alike. A
+shift in y is masked off the first or last row of a z-plane, where it would
+wrap into the next plane; a shift in z off the lattice finds no run. Every
 adjacent pair is found from one side or the other: if B is not the first
-run of its row to reach A, then A is the first of its row to reach B. The
-table holds, for each occupied row, the index of its first run plus the
-runs of the row that end before each x, so it has (occupied rows + 1) *
-(nx + 1) entries: a few for sparse masks, about the lattice for dense ones.
+run of its row to reach A, then A is the first of its row to reach B.
 
 Union-find runs in numpy, in rounds: each round hooks every root to the
 lowest root it touches, jumps pointers until every run points at its root,
@@ -25,20 +25,20 @@ ranking the roots gives the canonical IDs with no remap and no check.
 those indices, sorted, are kept on the labeling for the readers below.
 
 Cost: one scan of the mask, then work in the foreground voxels, their runs
-and the touching run pairs, plus the row table; an empty mask costs the
-scan and a zeroed label lattice. Run indices, run pairs and the table are
-``int32`` when the lattice padded by one row all round has fewer than 2**31
-entries, else ``intp``; the C-order voxel indices are ``intp``. Besides the
-4 B/vox ``labels``, the labeling keeps 8 bytes per foreground voxel (the
-sorted indices). The scan's transients reach 17 bytes per foreground voxel
-(its indices and their differences); on a mask of many short runs the row
-table (4 bytes per lattice voxel once every row is occupied) and the run
+and the touching run pairs; an empty mask costs the scan and a zeroed label
+lattice. Run indices and run pairs are ``int32`` when the lattice padded by
+one row all round has fewer than 2**31 entries, else ``intp``; the C-order
+voxel indices are ``intp``. Besides the 4 B/vox ``labels``, the labeling
+keeps 8 bytes per foreground voxel (the sorted indices). The scan's
+transients reach 17 bytes per foreground voxel (its indices, then their
+remainders or their differences); on a mask of many short runs the run
 pairs come on top. Traced with tracemalloc on 128x128x96, the whole call
-peaked at 17.0 B/vox on an all-foreground mask and 21.5 B/vox on 30% salt
+peaked at 17.0 B/vox on an all-foreground mask and 20.8 B/vox on 30% salt
 noise, whose 0.33 million runs touch in 1.05 million pairs. Dense noise is
-the weak case in time too: about 145 ms there, against about 70 ms for the
-all-foreground mask (2 CPUs). An empty or near-empty mask pays a fixed
-0.3-0.5 ms of numpy calls. ``tests/test_components.py`` bounds the peaks.
+the weak case in time too: about 170-180 ms there, over half of it in the
+8 sorted searches, against about 60-67 ms for the all-foreground mask (2
+CPUs). An empty 96x96x48 mask pays a fixed 0.3 ms of numpy calls.
+``tests/test_components.py`` bounds the peaks.
 
 The sorted C-order flat indices of the labeled voxels are a private cached
 value of the labeling, seeded by ``label_components`` and computed from
@@ -143,11 +143,12 @@ def _runs(voxels: np.ndarray, itype) -> tuple[np.ndarray, np.ndarray]:
     """Maximal x-runs of the foreground in scan order: the x-fastest linear
     index of each run's first voxel, and its length."""
     idx = np.flatnonzero(voxels.ravel(order="F"))  # a view of an F-order mask
-    new = np.empty(idx.size, dtype=bool)
+    new = idx % voxels.shape[0] == 0  # a voxel at x == 0 starts a run whatever precedes it
     new[:1] = True
-    np.not_equal(np.diff(idx), 1, out=new[1:])
-    # a foreground voxel at x == 0 starts a run whatever precedes it
-    new[np.searchsorted(idx, np.flatnonzero(voxels[0].ravel(order="F")) * voxels.shape[0])] = True
+    gap = np.diff(idx)
+    gap -= 1  # nonzero where an index does not follow its predecessor
+    np.logical_or(new[1:], gap, out=new[1:])
+    del gap
     start = np.flatnonzero(new)
     return idx[start].astype(itype), np.diff(start, append=idx.size).astype(itype)
 
@@ -155,42 +156,30 @@ def _runs(voxels: np.ndarray, itype) -> tuple[np.ndarray, np.ndarray]:
 def _touching(first: np.ndarray, length: np.ndarray, shape) -> list[tuple[np.ndarray, np.ndarray]]:
     """Every 26-adjacent pair of runs once, as run indices ``(hi, lo)``,
     ``hi > lo``, in 8 batches."""
-    nx, ny, nz = shape
-    r = first.size
-    row, x0 = np.divmod(first, nx)
-    # each run's widened extent, clamped to its row: from column k to voxel `end`
-    k = np.maximum(x0 - 1, 0)
-    end = first + length - (x0 + length == nx)
-    # per occupied row (and one empty row last): its first run plus the runs
-    # of the row that end before column x
+    nx, ny = shape[:2]
     itype = first.dtype.type
-    head = np.flatnonzero(np.diff(row, prepend=-1)).astype(itype)
-    table = np.zeros((head.size + 1, nx + 1), dtype=itype)
-    table[np.repeat(np.arange(head.size), np.diff(head, append=r)), x0 + length] = 1
-    table[:-1, 0] = head
-    table[-1, 0] = r
-    np.cumsum(table, axis=1, out=table)
-    table = table.ravel()
-    # where each row starts in the table, on a (y, z) plane padded with empty
-    # rows all round
-    py = ny + 2
-
-    def cell(row):
-        return row % ny + 1 + (row // ny + 1) * py
-
-    place = np.full(py * (nz + 2), head.size * (nx + 1), dtype=itype)
-    place[cell(row[head])] = np.arange(0, head.size * (nx + 1), nx + 1, dtype=itype)
-    at = cell(row)
-    del row, x0, head
-    stop = np.append(first, np.iinfo(itype).max)  # run r: none, touches nothing
+    row, x0 = np.divmod(first, nx)
+    y = row % ny
+    # a row shifted in y must stay in its z-plane
+    inside = {-1: y > 0, 1: y < ny - 1}
+    # each run's extent widened by one voxel, clamped to its row
+    lo = first - (x0 > 0)
+    last = first + length - 1  # ascending: runs are disjoint and in scan order
+    hi = last + (x0 + length < nx)
+    del row, x0, y
+    stop = np.append(first, np.iinfo(itype).max)  # past the last run: none, touches nothing
 
     def reach(dy, dz):
-        """The first run of row (y + dy, z + dz) reaching each run's widened
-        start, and whether it touches the run."""
-        j = table[place[at + (dy + dz * py)] + k]
-        return j, stop[j] <= end + (dy + dz * ny) * nx
+        """The first run of row (y + dy, z + dz) ending at or after each run's
+        widened start, and whether it touches the run."""
+        shift = (dy + dz * ny) * nx
+        j = np.searchsorted(last, lo + shift).astype(itype)
+        hit = stop[j] <= hi + shift
+        if dy:
+            hit &= inside[dy]
+        return j, hit
 
-    own = np.arange(r, dtype=itype)
+    own = np.arange(first.size, dtype=itype)
     pairs = []
     for dy, dz in _BACK_ROWS:
         back, hit = reach(dy, dz)
@@ -248,7 +237,7 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
     """
     require_masks(mask)
     shape = nx, ny, nz = mask.voxels.shape
-    # int32 when every run index, table entry and row-shifted voxel index fits
+    # int32 when every run index and row-shifted voxel index fits
     itype = np.int32 if (nx + 1) * (ny + 2) * (nz + 2) < 2**31 else np.intp
     first, length = _runs(mask.voxels, itype)
     root = _roots(first.size, _touching(first, length, shape), itype)
@@ -277,16 +266,19 @@ def label_components(mask: BinaryMask) -> ComponentLabeling:
 
 def _check_labeling(lab: ComponentLabeling, gt: BinaryMask) -> None:
     """Raise ``ValueError`` unless ``lab`` labels exactly ``gt``'s voxels on
-    ``gt``'s grid.
+    ``gt``'s grid, and ``TypeError`` unless they are a ``ComponentLabeling``
+    and a ``BinaryMask``.
 
     O(1) when ``lab.mask is gt``: ``label_components(gt)`` made it. Any other
     labeling, built by hand or made from an equal but distinct mask, is
     checked in O(GT voxels) once ``gt`` has counted its foreground (one
     lattice pass, cached on the mask): its labeled voxels must be ``gt``'s,
     its IDs positive, and its ``volumes_vox`` and ``count`` those of its
-    labels. The losses
-    and ``metrics.cc_dice`` share it.
+    labels. The losses and ``metrics.cc_dice`` share it.
     """
+    require_masks(gt)
+    if not isinstance(lab, ComponentLabeling):
+        raise TypeError(f"expected a ComponentLabeling, got {type(lab).__name__}")
     if lab.mask is gt:
         return
     if lab.labels.shape != gt.voxels.shape or not lab.spacing.isclose(gt.spacing):

@@ -94,7 +94,8 @@ def _stored(vol, path: Path) -> tuple[str, int, np.ndarray]:
     elif isinstance(vol, LogitVolume):
         dtype_name, datatype = "f32", 16
     else:
-        raise TypeError(f"cannot write volume of type {type(vol).__name__}")
+        raise TypeError(f"cannot write volume of type {type(vol).__name__}; "
+                        "expected a BinaryMask or LogitVolume")
     with np.errstate(over="ignore"):
         data = vol.voxels.astype(RAW_DTYPES[dtype_name])
     if dtype_name == "f32" and not np.isfinite(data).all():
@@ -102,7 +103,7 @@ def _stored(vol, path: Path) -> tuple[str, int, np.ndarray]:
     return dtype_name, datatype, data
 
 
-def write_volume(vol, path) -> None:
+def write_volume(vol: BinaryMask | LogitVolume, path) -> None:
     """Write a volume to ``path``: NIfTI-1 if the name ends .nii or .nii.gz,
     else the raw format. BinaryMask is stored as u8 (0/1), LogitVolume as f32.
     """

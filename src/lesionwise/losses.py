@@ -426,11 +426,17 @@ def soft_dice_loss(logits: LogitVolume, gt: BinaryMask) -> LossValue:
     return dicece_loss(logits, gt, w_dice=1.0, w_ce=0.0)
 
 
+def _require_partition(part) -> None:
+    if not isinstance(part, VoronoiPartition):
+        raise TypeError(f"expected a VoronoiPartition, got {type(part).__name__}")
+
+
 def _partitions(part: VoronoiPartition, lab: ComponentLabeling) -> bool:
     """Whether ``part`` may be ``lab``'s partition: one made from ``lab``
     (O(1)) or from an equal labeling at the same spacing (O(lattice)), or,
     if it names no labeling, one that puts each component in its own region
-    (O(GT))."""
+    (O(GT)). Anything but a ``VoronoiPartition`` raises ``TypeError``."""
+    _require_partition(part)
     if part.region_of.shape != lab.labels.shape or part.count != lab.count:
         return False
     if part.lab is None:
@@ -452,7 +458,7 @@ def _instance_terms(logits, gt, lab, part=None, *, cc=False):
     if lab.count < 1:
         raise EmptyGroundTruthError("instance loss needs at least one ground-truth component")
     if cc and part is None:
-        raise ValueError("CC instance loss needs a Voronoi partition of lab")
+        raise ValueError("CC instance loss needs a Voronoi partition of lab, a VoronoiPartition")
     if cc and not _partitions(part, lab):
         raise ValueError("Voronoi partition does not match the labeling")
     vp = _as_pass(logits, gt)
@@ -559,8 +565,10 @@ def combined_loss(
     """
     kind = LossKind(kind)
     _check_metric(metric)
-    if part is not None and part.metric != metric:
-        raise ValueError(f"Voronoi partition has metric {part.metric!r}, not {metric!r}")
+    if part is not None:
+        _require_partition(part)
+        if part.metric != metric:
+            raise ValueError(f"Voronoi partition has metric {part.metric!r}, not {metric!r}")
     weights = weights or LossWeights()
     vp = _voxel_pass(logits, gt)
 

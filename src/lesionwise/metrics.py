@@ -213,6 +213,9 @@ def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> M
     the check reads only the overlap. The matcher's DFS runs on an explicit
     stack, so an augmenting path may be as long as the components allow.
     """
+    for lab in (pred_lab, gt_lab):
+        if not isinstance(lab, ComponentLabeling):
+            raise TypeError(f"expected a ComponentLabeling, got {type(lab).__name__}")
     if pred_lab.labels.shape != gt_lab.labels.shape:
         raise ValueError("labelings cover different grids")
 
@@ -233,8 +236,12 @@ def match_instances(pred_lab: ComponentLabeling, gt_lab: ComponentLabeling) -> M
 
 
 def case_metrics(pred: BinaryMask, gt: BinaryMask, metric: str = "voxel") -> CaseMetrics:
-    """All per-case metrics for one prediction/ground-truth pair."""
+    """All per-case metrics for one prediction/ground-truth pair.
+
+    A volume that is not a bool mask raises ``TypeError``.
+    """
     _check_metric(metric)
+    require_masks(pred, gt)
     require_same_grid(pred, gt)
     gt_lab = label_components(gt)
     pred_lab = label_components(pred)

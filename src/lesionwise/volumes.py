@@ -198,10 +198,11 @@ def require_same_grid(a, b) -> None:
 
 
 def require_masks(*volumes) -> None:
-    """Raise ``TypeError`` unless every volume holds a bool mask, as ``BinaryMask`` does."""
+    """Raise ``TypeError`` unless every volume is a ``BinaryMask``."""
     for v in volumes:
-        if v.voxels.dtype != bool:
-            raise TypeError(f"expected a bool mask, got {type(v).__name__}; binarize() logits first")
+        if not isinstance(v, BinaryMask):
+            raise TypeError(f"expected a bool mask, got {type(v).__name__}; "
+                            "binarize() logits into a BinaryMask first")
 
 
 def require_logits(v) -> None:

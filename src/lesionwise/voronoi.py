@@ -175,6 +175,16 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"metric must be one of {VALID_METRICS}, got {metric!r}")
 
 
+def _check_sites(lab: ComponentLabeling, metric: str) -> None:
+    """Refuse a partition of anything but a labeling with a component, or
+    under an unknown metric."""
+    if not isinstance(lab, ComponentLabeling):
+        raise TypeError(f"expected a ComponentLabeling, got {type(lab).__name__}")
+    _check_metric(metric)
+    if lab.count < 1:
+        raise EmptyGroundTruthError("cannot build a Voronoi partition: no components")
+
+
 def _grids(shape, dtype=np.int64):
     nx, ny, nz = shape
     gx = np.arange(nx, dtype=dtype).reshape(nx, 1, 1)
@@ -260,9 +270,7 @@ def voronoi_partition(lab: ComponentLabeling, metric: str = "voxel") -> VoronoiP
     """
     from scipy import ndimage  # lazy: see the module docstring
 
-    _check_metric(metric)
-    if lab.count < 1:
-        raise EmptyGroundTruthError("cannot build a Voronoi partition: no components")
+    _check_sites(lab, metric)
 
     shape = lab.labels.shape
     if lab.count == 1:
@@ -366,9 +374,7 @@ def voronoi_partition_bruteforce(
 
     O(lattice * foreground) — intended for conformance testing at small sizes.
     """
-    _check_metric(metric)
-    if lab.count < 1:
-        raise EmptyGroundTruthError("cannot build a Voronoi partition: no components")
+    _check_sites(lab, metric)
 
     shape = lab.labels.shape
     gx, gy, gz = _grids(shape)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (BFS flood fill, exhaustive matching
 via bitmask DP, central finite differences, DiceCE straight from its
 formula, a recursive Hopcroft–Karp, a voxel-by-voxel 6-boundary, a dilated
-gap check) and shares no code with the package internals it checks.
+gap check) or scipy's own (``ndimage.label`` for lattices beyond the flood
+fill's reach), and shares no code with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -60,6 +61,17 @@ def flood_fill_label(mask: np.ndarray) -> tuple[int, np.ndarray]:
                     labels[px, py, pz] = count
                     queue.append((px, py, pz))
     return count, labels
+
+
+def scipy_label(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """26-connectivity labeling by ``scipy.ndimage.label`` (3x3x3 structure),
+    renumbered by each component's first voxel in the x-fastest scan."""
+    raw, count = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=bool))
+    ids, first = np.unique(raw.ravel(order="F"), return_index=True)
+    ids, first = ids[ids > 0], first[ids > 0]
+    renumber = np.zeros(count + 1, dtype=np.int32)
+    renumber[ids[np.argsort(first)]] = np.arange(1, count + 1)
+    return count, renumber[raw]
 
 
 def two_branch_sigmoid(logits: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lesionwise import ComponentLabeling, Spacing, label_components
 from lesionwise.metrics import match_instances
 from lesionwise.voronoi import _boundary_sites
-from oracles import flood_fill_label, mk_mask
+from oracles import flood_fill_label, mk_mask, scipy_label
 
 
 def _assert_matches_flood_fill(arr):
@@ -77,6 +77,16 @@ def test_runs_meet_across_a_row_end_only_within_one_voxel(nx, step):
     _assert_matches_flood_fill(arr)
 
 
+@pytest.mark.parametrize("ny", [1, 2, 3])
+def test_rows_meet_across_a_plane_end_only_within_one_voxel(ny):
+    # y = ny - 1 in one z-plane and y = 0 in the next are 26-adjacent iff ny <= 2
+    arr = np.zeros((2, ny, 2), dtype=bool)
+    arr[0, ny - 1, 0] = True
+    arr[0, 0, 1] = True
+    assert label_components(mk_mask(arr)).count == (1 if ny <= 2 else 2)
+    _assert_matches_flood_fill(arr)
+
+
 def _by_hand(lab, order="C"):
     """A copy of ``lab`` built by hand: no mask, no seeded cache."""
     return ComponentLabeling(np.array(lab.labels, order=order), lab.count, lab.volumes_vox.copy(),
@@ -127,7 +137,7 @@ def _traced_peak_per_voxel(mask):
         tracemalloc.stop()
 
 
-# Traced peaks with numpy 2.4: 17.0, 21.5 and 6.8 B/vox. The bounds leave
+# Traced peaks with numpy 2.4: 17.0, 20.8 and 5.9 B/vox. The bounds leave
 # about a tenth for other numpy versions; dense masks are the labeler's weak case.
 @pytest.mark.parametrize("case, bound", [("all-foreground", 18.7), ("salt-30%", 23.7),
                                          ("speckle-4.5%", 7.5)])
@@ -141,6 +151,25 @@ def test_labeling_memory_per_voxel_is_bounded(case, bound):
         arr = rng.random((128, 128, 64)) < 0.045
     peak = _traced_peak_per_voxel(mk_mask(np.asfortranarray(arr)))  # F order, as files give
     assert peak < bound, f"{case}: {peak:.2f} B/vox"
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("case", ["all-foreground", "salt-30%", "speckle-4.5%"])
+def test_labeling_matches_scipy_beyond_the_flood_fills_reach(case, order):
+    # the masks of the memory test above
+    rng = np.random.default_rng(31)
+    if case == "all-foreground":
+        arr = np.ones((128, 128, 96), dtype=bool)
+    elif case == "salt-30%":
+        arr = rng.random((128, 128, 96)) < 0.3
+    else:
+        arr = rng.random((128, 128, 64)) < 0.045
+    arr = np.asarray(arr, order=order)
+    lab = label_components(mk_mask(arr))
+    count, oracle = scipy_label(arr)
+    assert lab.count == count
+    assert np.array_equal(lab.labels, oracle)
+    assert np.array_equal(lab.volumes_vox, np.bincount(oracle.ravel(), minlength=count + 1)[1:])
 
 
 def test_voxel_lists_are_read_only_coordinates_in_scan_order():

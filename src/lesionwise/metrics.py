@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import ComponentLabeling, _check_labeling, label_components
+from .losses import _slabs
 from .volumes import BinaryMask, require_masks, require_same_grid
 from .voronoi import _check_metric, _nearest_at
 from .voronoi import voronoi_partition  # noqa: F401  # lwbench/tracer.py wraps this attribute
@@ -84,15 +85,37 @@ class AggregateStat:
 def hard_dice(pred: BinaryMask, gt: BinaryMask) -> float:
     """Set Dice 2|P∩K| / (|P|+|K|); 1.0 when both masks are empty.
 
+    |P∩K| is counted slab by slab along the prediction's slowest axis, in
+    the slabs of ``losses._slabs``, so no lattice-sized ``P & K`` is made.
     A volume that is not a bool mask raises ``TypeError``.
     """
     require_masks(pred, gt)
     require_same_grid(pred, gt)
-    inter = int(np.count_nonzero(pred.voxels & gt.voxels))
+    p, g = pred.voxels, gt.voxels
+    inter = sum(int(np.count_nonzero(p[s] & g[s])) for s in _slabs(p))
     denom = pred.foreground_count + gt.foreground_count
     if denom == 0:
         return 1.0
     return 2.0 * inter / denom
+
+
+def _c_order_foreground(voxels: np.ndarray) -> np.ndarray:
+    """The C-order flat indices of a mask's voxels, in memory order: one scan
+    of a C or F layout without a copy, then O(foreground) index arithmetic
+    for F. Any other layout is copied to C order for the scan."""
+    if voxels.flags.c_contiguous or not voxels.flags.f_contiguous:
+        return np.flatnonzero(voxels)
+    nx, ny, nz = voxels.shape
+    idx = np.flatnonzero(voxels.ravel(order="F"))  # x + nx * (y + ny * z)
+    x = idx % nx
+    idx //= nx
+    y = idx % ny
+    idx //= ny  # z
+    x *= ny * nz
+    y *= nz
+    idx += x
+    idx += y
+    return idx
 
 
 def cc_dice(
@@ -107,9 +130,12 @@ def cc_dice(
     voxels than ``gt``'s, or of another grid, raises ``ValueError``
     (``components._check_labeling``: O(1) for ``label_components(gt)``,
     O(GT) for any other). The prediction mask is scanned once, for the
-    C-order indices of its voxels; the intersections and R_C are both read
-    at those indices only. A volume that is not a bool mask raises
-    ``TypeError``.
+    C-order indices of its voxels: in memory order, so a C- or F-order mask
+    (the file readers give F) is not copied, and an F-order scan is mapped
+    to C-order indices in O(foreground). The indices come in scan order,
+    which does not matter, as both reads of them are counted by bincount.
+    The intersections and R_C are both read at those indices only. A
+    volume that is not a bool mask raises ``TypeError``.
     """
     _check_metric(metric)
     require_masks(pred, gt)
@@ -121,7 +147,7 @@ def cc_dice(
     if lab.count == 0:
         return None
     n = lab.count
-    flat = np.flatnonzero(pred.voxels)
+    flat = _c_order_foreground(pred.voxels)
     inter = np.bincount(lab.labels.ravel()[flat], minlength=n + 1)[1:]
     region = _nearest_at(lab, flat, metric)
     pred_in_region = np.bincount(region, minlength=n + 1)[1:]

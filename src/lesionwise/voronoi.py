@@ -104,8 +104,10 @@ fallback. The cost is one query per given voxel outside the ground truth,
 plus one per doubling. Memory is O(given voxels + boundary voxels): the
 boundary pass gathers the 6 neighbours of the labeling's cached foreground
 indices and makes no lattice temporary. Measured with tracemalloc,
-``cc_dice`` peaked at 1.0-4.2 bytes per lattice voxel on the benchmark's
-seed-3 eval cases with two or more lesions (at most 1.03 on eval-lesions).
+``cc_dice`` peaked at 0.003-4.2 bytes per lattice voxel on the benchmark's
+seed-3 eval cases with two or more lesions (at most 0.57 on eval-lesions;
+the 4.2 is an eval-speckle case whose noise sends most predicted voxels to
+the tree), with no lattice-sized array: the prediction is scanned in place.
 
 Why two algorithms
 ------------------

@@ -5,10 +5,12 @@ via bitmask DP, central finite differences, DiceCE straight from its
 formula, a recursive Hopcroft–Karp, a voxel-by-voxel 6-boundary, a dilated
 gap check) or scipy's own (``ndimage.label`` for lattices beyond the flood
 fill's reach), and shares no code with the package internals it checks.
+``traced_peak`` is the one tracemalloc probe of the memory tests.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 from functools import lru_cache
 
@@ -26,6 +28,16 @@ _NEIGHBORS_26 = [
     for dz in (-1, 0, 1)
     if (dx, dy, dz) != (0, 0, 0)
 ]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mk_mask(arr, spacing: Spacing = UNIT) -> BinaryMask:

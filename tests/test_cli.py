@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from lesionwise import (
 )
 from lesionwise import cli
 from lesionwise.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, main
-from oracles import chain_pair, mk_mask
+from oracles import chain_pair, mk_mask, traced_peak
 
 
 def run_cli(argv):
@@ -834,13 +833,10 @@ def test_failed_eval_cases_keep_no_volumes(tmp_path, monkeypatch):
     peaks = []
     for n in (1, 8):
         _write_manifest(tmp_path / "cases.csv", [("gt.raw", f"missing{i}.raw") for i in range(n)])
-        tracemalloc.start()
-        try:
-            assert run_cli(["eval", "--manifest", str(tmp_path / "cases.csv"),
-                            "--out", str(tmp_path / "out")]) == EXIT_PARTIAL
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        codes = []
+        peaks.append(traced_peak(lambda: codes.append(run_cli(
+            ["eval", "--manifest", str(tmp_path / "cases.csv"), "--out", str(tmp_path / "out")]))))
+        assert codes == [EXIT_PARTIAL]
     assert peaks[1] < peaks[0] + 64**3, peaks
 
 

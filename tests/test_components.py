@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,7 @@ from hypothesis import strategies as st
 from lesionwise import ComponentLabeling, Spacing, label_components
 from lesionwise.metrics import match_instances
 from lesionwise.voronoi import _boundary_sites
-from oracles import flood_fill_label, mk_mask, scipy_label
+from oracles import flood_fill_label, mk_mask, scipy_label, traced_peak
 
 
 def _assert_matches_flood_fill(arr):
@@ -26,6 +24,24 @@ def test_empty_mask():
     assert lab.count == 0
     assert lab.voxel_lists == ()
     assert lab.volumes_vox.size == 0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("case", ["empty", "one-run"])
+def test_mask_of_fewer_than_two_runs(case, order):
+    # the labeler skips the touching search and the union-find here
+    arr = np.zeros((9, 7, 5), dtype=bool, order=order)
+    if case == "one-run":
+        arr[2:8, 6, 4] = True
+    lab = label_components(mk_mask(arr))
+    assert lab.count == arr.any()
+    assert np.array_equal(lab.labels, arr.astype(np.int32))
+    assert lab.volumes_vox.tolist() == ([6] if arr.any() else [])
+    assert lab.volumes_mm3.tolist() == ([6.0] if arr.any() else [])
+    seeded = lab.__dict__["_foreground_flat"]
+    assert not seeded.flags.writeable
+    assert np.array_equal(seeded, np.flatnonzero(arr))
+    _assert_matches_flood_fill(arr)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -129,12 +145,7 @@ def test_readers_of_the_foreground_index_agree_on_a_labeling_built_by_hand():
 
 
 def _traced_peak_per_voxel(mask):
-    tracemalloc.start()
-    try:
-        label_components(mask)
-        return tracemalloc.get_traced_memory()[1] / mask.voxels.size
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: label_components(mask)) / mask.voxels.size
 
 
 # Traced peaks with numpy 2.4: 17.0, 20.8 and 5.9 B/vox. The bounds leave

@@ -19,7 +19,7 @@ from lesionwise import (
     write_volume,
 )
 from lesionwise.cli import EXIT_IO, main
-from oracles import mk_logits, mk_mask
+from oracles import mk_logits, mk_mask, traced_peak
 
 
 def _nifti_bytes(shape, pixdim, datatype, data, endian="<", magic=b"n+1\x00",
@@ -472,15 +472,35 @@ def test_gzipped_float32_read_allocates_one_float32_lattice(tmp_path, monkeypatc
         return finish(*args)
 
     monkeypatch.setattr(lesionwise.io, "_finish", traced_finish)
-    tracemalloc.start()
-    try:
-        vol = read_volume(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(vol.voxels, arr)
+    peak = traced_peak(lambda: read_volume(path))
+    assert np.array_equal(read_volume(path).voxels, arr)
     # the inflated lattice and the finiteness check's bool lattice; a copy adds a lattice
     assert peak < 1.5 * arr.nbytes
+
+
+@pytest.mark.parametrize("name", ["m.raw", "m.nii"])
+def test_mask_read_allocates_only_the_mask(tmp_path, name):
+    # u8 voxels are read into an F-order array of their own and cast to bool there
+    arr = np.random.default_rng(8).random((64, 64, 64)) < 0.1
+    path = tmp_path / name
+    write_volume(mk_mask(arr), path)
+    mask = read_mask(path)
+    assert np.array_equal(mask.voxels, arr)
+    assert mask.voxels.flags.f_contiguous and not mask.voxels.flags.writeable
+    peak = traced_peak(lambda: read_mask(path))  # warm: the read above imported everything
+    assert peak < 1.2 * arr.size, peak / arr.size
+
+
+def test_big_endian_nifti_is_swapped_where_it_was_read(tmp_path):
+    # the f32 voxels and the finiteness check's bool lattice, then the mask;
+    # a native copy of the voxels adds 4 B/vox
+    arr = np.random.default_rng(9).normal(size=(64, 64, 64)).astype(">f4")
+    path = tmp_path / "be.nii"
+    path.write_bytes(_nifti_bytes(arr.shape, (1.0, 1.0, 1.0), 16, arr.tobytes(order="F"),
+                                  endian=">"))
+    assert np.array_equal(read_mask(path).voxels, arr != 0)
+    peak = traced_peak(lambda: read_mask(path))
+    assert peak <= 5.2 * arr.size, peak / arr.size
 
 
 def test_big_endian_float32_nifti_is_kept_as_native_float32(tmp_path):
@@ -571,13 +591,8 @@ def test_inflated_bytes_after_the_data_are_checked_at_bounded_peak(tmp_path):
     path = tmp_path / "tail.nii.gz"
     path.write_bytes(gzip.compress(
         _nifti_bytes((2, 2, 2), (1.0, 1.0, 1.0), 16, data.tobytes()) + bytes(64 << 20), mtime=0))
-    tracemalloc.start()
-    try:
-        vol = read_volume(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(vol.voxels.ravel(order="F"), data)
+    peak = traced_peak(lambda: read_volume(path))
+    assert np.array_equal(read_volume(path).voxels.ravel(order="F"), data)
     assert peak < 1 << 20
 
 

@@ -47,6 +47,7 @@ from oracles import (
     grad_errors,
     mk_logits,
     mk_mask,
+    traced_peak,
 )
 
 SAT = LOGIT_CLAMP
@@ -643,15 +644,6 @@ def test_threads_computing_at_once_match_a_fresh_thread():
             assert d == want[i], i
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _mid_size_case():
     shape = (48, 40, 32)
     spec = random_instances_spec(Shape(*shape), UNIT, 6, 73)
@@ -684,7 +676,7 @@ def test_cold_call_allocates_the_workspace_and_a_warm_call():
     for kind in KINDS:
         for logits in (c_logits, f_logits):
             # a fresh thread builds its workspace in the traced call
-            peak = _traced_peak(lambda: _in_fresh_thread(
+            peak = traced_peak(lambda: _in_fresh_thread(
                 lambda: combined_loss(kind, logits, gt, lab=lab, part=part)))
             assert peak <= bound, (kind, peak / gt.voxels.size)
 
@@ -694,7 +686,7 @@ def test_warm_call_allocates_only_the_gradient():
     for kind in KINDS:
         for logits in (c_logits, f_logits):
             combined_loss(kind, logits, gt, lab=lab, part=part)  # builds the workspace
-            peak = _traced_peak(lambda: combined_loss(kind, logits, gt, lab=lab, part=part))
+            peak = traced_peak(lambda: combined_loss(kind, logits, gt, lab=lab, part=part))
             assert peak <= 17 * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
 
 
@@ -705,14 +697,12 @@ def test_new_layout_frees_the_old_workspace_first():
     ws = _workspace_bytes_per_voxel(c_logits.voxels)
     for kind in KINDS:
         for first, second in ((c_logits, f_logits), (f_logits, c_logits)):
-            tracemalloc.start()  # so that the old workspace is traced too
-            try:
+            def switch():  # the first call is traced, so that the old workspace is too
                 combined_loss(kind, first, gt, lab=lab, part=part)
                 tracemalloc.reset_peak()
                 combined_loss(kind, second, gt, lab=lab, part=part)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+
+            peak = traced_peak(switch)
             assert peak <= (ws + 17) * gt.voxels.size + 65536, (kind, peak / gt.voxels.size)
 
 

@@ -23,7 +23,7 @@ from lesionwise import (
 )
 from lesionwise.components import ComponentLabeling
 from lesionwise.metrics import _hopcroft_karp
-from oracles import UNIT, chain_pair, max_matching_size, mk_mask
+from oracles import UNIT, chain_pair, max_matching_size, mk_mask, traced_peak
 from oracles import _hopcroft_karp as recursive_hopcroft_karp
 
 
@@ -122,6 +122,48 @@ def test_cc_dice_matches_literal_reevaluation_on_random_cases():
                 2 * inter / (np.count_nonzero(p_in) + np.count_nonzero(comp))
             )
         assert cc_dice(pred, gt) == pytest.approx(float(np.mean(per_region)), rel=1e-12)
+
+
+def _layouts(arr):
+    """``arr`` in C order, F order and a permuted layout that is neither."""
+    permuted = np.ascontiguousarray(arr.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert not (permuted.flags.c_contiguous or permuted.flags.f_contiguous)
+    return {"C": np.ascontiguousarray(arr), "F": np.asfortranarray(arr), "permuted": permuted}
+
+
+def test_dice_and_cc_dice_do_not_depend_on_the_layout():
+    # 48x40x36 spans several of hard_dice's slabs
+    rng = np.random.default_rng(43)
+    spec = random_instances_spec(Shape(48, 40, 36), UNIT, 5, 44)
+    gt_arr = build_phantom(spec)[0].voxels
+    pred_arr = gt_arr ^ (rng.random(gt_arr.shape) < 0.01)
+    want = hard_dice(mk_mask(pred_arr), mk_mask(gt_arr)), cc_dice(mk_mask(pred_arr), mk_mask(gt_arr))
+    assert 0 < want[0] < 1 and 0 < want[1] < 1
+    for p_name, p in _layouts(pred_arr).items():
+        for g_name, g in _layouts(gt_arr).items():
+            pred, gt = mk_mask(p), mk_mask(g)
+            assert pred.voxels.strides == p.strides  # the mask keeps the layout
+            assert (hard_dice(pred, gt), cc_dice(pred, gt)) == want, (p_name, g_name)
+
+
+def _balls(centres, radius, shape=(64, 64, 64)):
+    grid = np.indices(shape)
+    return np.any([sum((grid[i] - c[i]) ** 2 for i in range(3)) <= radius ** 2
+                   for c in centres], axis=0)
+
+
+def test_cc_dice_allocates_no_lattice():
+    # 0.5% foreground in F order, as files give: the prediction is scanned
+    # without a C-order copy (1 B/vox), and the rest is O(foreground)
+    gt = mk_mask(np.asfortranarray(_balls([(16, 20, 24), (44, 40, 36), (20, 48, 50)], 4.5)))
+    pred = mk_mask(np.asfortranarray(_balls([(16, 20, 24), (44, 41, 36), (20, 48, 50)], 4.5)
+                                     | _balls([(50, 12, 10)], 2)))
+    assert pred.voxels.flags.f_contiguous and pred.foreground_count < 0.005 * pred.voxels.size
+    lab = label_components(gt)
+    assert lab.count >= 2
+    cc_dice(pred, gt, lab=lab)  # imports scipy.spatial
+    peak = traced_peak(lambda: cc_dice(pred, gt, lab=lab))
+    assert peak < 0.5 * gt.voxels.size, peak / gt.voxels.size
 
 
 # ---------------------------------------------------------------------------
